@@ -16,8 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import groebner
-from .compgroup import FibreError, component_group, tamagawa_number, \
-    validate_fibre
+from .compgroup import FibreError, component_group, fixed_point_count
 from .fieldtower import (FieldTower, FieldTowerError, extend_inert,
                          optimise_discriminant, subfield_property_check)
 from .groebner import GroebnerError, Ideal
@@ -66,13 +65,9 @@ def cmd_tamagawa(args) -> int:
     if args.p is not None and args.p != doc["p"]:
         raise CliSchemaError(f"--p {args.p} does not match the model file "
                              f"(p = {doc['p']})")
-    fibre = parse_fibre(doc)
-    diags = validate_fibre(fibre)
-    if diags:
-        raise FibreError("; ".join(diags))
-    G = component_group(fibre)
-    c_p = tamagawa_number(fibre)
-    return _emit({"c_p": c_p, "invariant_factors": G.invariant_factors})
+    G = component_group(parse_fibre(doc))
+    return _emit({"c_p": fixed_point_count(G),
+                  "invariant_factors": G.invariant_factors})
 
 
 def cmd_vanishing_order(args) -> int:

@@ -10,13 +10,12 @@ Tamagawa number c_p counts Frobenius-fixed elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from .intmat import (hermite_normal_form, identity, inverse_unimodular,
-                     invariant_factors, kernel_basis, mat_mul, mat_vec,
-                     smith_normal_form, solve_integer)
+from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
+                     mat_mul, mat_vec, smith_normal_form,
+                     solve_integer_matrix)
 
 
 class FibreError(ValueError):
@@ -63,20 +62,25 @@ class FinAbGroupWithAction:
 
 
 def _rational_rank(M: Sequence[Sequence[int]]) -> int:
-    A = [[Fraction(x) for x in row] for row in M]
-    rank = 0
+    """Rank over QQ by fraction-free (Bareiss) elimination.
+
+    After k pivots each entry left below them is, up to sign, a
+    (k+1)-minor of M, so dividing each update by the previous pivot is
+    exact (Sylvester's identity) and all arithmetic stays in ZZ.
+    """
+    A = [list(row) for row in M]
+    rank, prev = 0, 1
     rows, cols = len(A), len(A[0]) if A else 0
     for c in range(cols):
         piv = next((r for r in range(rank, rows) if A[r][c]), None)
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][c]
-        A[rank] = [x * inv for x in A[rank]]
-        for r in range(rows):
-            if r != rank and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
+        top, p = A[rank], A[rank][c]
+        for r in range(rank + 1, rows):
+            a = A[r][c]
+            A[r] = [(p * x - a * y) // prev for x, y in zip(A[r], top)]
+        prev = p
         rank += 1
     return rank
 
@@ -123,48 +127,35 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
             if M[sigma[i]][sigma[j]] != M[i][j]:
                 out.append(f"frobenius does not preserve the intersection "
                            f"number of ({ids[i]}, {ids[j]})")
-    if not out and n > 0 and _rational_rank(M) != n - 1:
-        out.append(f"intersection graph is disconnected "
-                   f"(matrix rank {_rational_rank(M)} != {n - 1})")
+    if not out and n > 0:
+        rank = _rational_rank(M)
+        if rank != n - 1:
+            out.append(f"intersection graph is disconnected "
+                       f"(matrix rank {rank} != {n - 1})")
     return out
 
 
-def _kernel_and_relations(F: SpecialFibre):
-    """Kernel basis B of the multiplicity vector and the relation matrix C
+def _kernel_coordinates(F: SpecialFibre):
+    """Kernel basis B of the multiplicity vector, the relation matrix C
     with B·C = intersection matrix (columns of C are im alpha-bar in
-    kernel coordinates)."""
+    kernel coordinates) and the Frobenius A on kernel coordinates, with
+    B·A = P·B.  Both are solved together against one Smith form of B."""
     n = len(F.components)
     B = kernel_basis([F.multiplicities])          # n x (n-1)
-    r = len(B[0]) if B else 0
-    C: List[List[int]] = [[0] * n for _ in range(r)]
-    for j in range(n):
-        col = [F.intersections[i][j] for i in range(n)]
-        x = solve_integer(B, col)
-        if x is None:
+    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+    PB: List[List[int]] = [[]] * n
+    for i in range(n):
+        PB[sigma[i]] = B[i]
+    M = F.intersections
+    X = solve_integer_matrix(B, [M[i] + PB[i] for i in range(n)])
+    if X is None:
+        if solve_integer_matrix(B, M) is None:
             raise FibreError("intersection column is not in ker beta-bar "
                              "(weighted row sums nonzero?)")
-        for i in range(r):
-            C[i][j] = x[i]
-    return B, C
-
-
-def _kernel_action(F: SpecialFibre, B) -> List[List[int]]:
-    """Frobenius on kernel coordinates: solve B·A = P·B."""
-    n = len(F.components)
-    r = len(B[0]) if B else 0
-    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
-    A = [[0] * r for _ in range(r)]
-    for j in range(r):
-        col = [B[i][j] for i in range(n)]
-        image = [0] * n
-        for i in range(n):
-            image[sigma[i]] = col[i]
-        x = solve_integer(B, image)
-        if x is None:
-            raise FibreError("frobenius does not preserve ker beta-bar")
-        for i in range(r):
-            A[i][j] = x[i]
-    return A
+        raise FibreError("frobenius does not preserve ker beta-bar")
+    C = [row[:n] for row in X]
+    A = [row[n:] for row in X]
+    return B, C, A
 
 
 def component_group(F: SpecialFibre) -> FinAbGroupWithAction:
@@ -174,14 +165,13 @@ def component_group(F: SpecialFibre) -> FinAbGroupWithAction:
     n = len(F.components)
     if n == 1:
         return FinAbGroupWithAction([], [], [], [[]])
-    B, C = _kernel_and_relations(F)
+    B, C, A = _kernel_coordinates(F)
     r = len(C)
-    D, U, V = smith_normal_form(C)
+    D, U, V, Uinv = smith_normal_form(C)
     diag = [D[t][t] for t in range(min(r, len(C[0])))]
     if len(diag) < r or any(d == 0 for d in diag):
         raise FibreError("component group is infinite (disconnected fibre)")
-    Uinv = inverse_unimodular(U)
-    A_full = mat_mul(mat_mul(U, _kernel_action(F, B)), Uinv)
+    A_full = mat_mul(mat_mul(U, A), Uinv)
     torsion = [t for t in range(r) if diag[t] > 1]
     inv_factors = [diag[t] for t in torsion]
     generators = [[Uinv[i][t] for i in range(r)] for t in torsion]
@@ -287,7 +277,7 @@ def brute_force_component_group(F: SpecialFibre, cap: int = 10 ** 4
     n = len(F.components)
     if n == 1:
         return GroupTable(1, [], 1, [()])
-    B, C = _kernel_and_relations(F)
+    B, C, A = _kernel_coordinates(F)
     r = len(C)
     H, _ = hermite_normal_form(C)     # r x n, first r columns triangular
     piv = [H[i][i] for i in range(r)]
@@ -325,7 +315,6 @@ def brute_force_component_group(F: SpecialFibre, cap: int = 10 ** 4
     if len(elements) != order:
         raise FibreError("coset enumeration inconsistent with determinant")
 
-    A = _kernel_action(F, B)
     fixed = sum(1 for x in elements
                 if reduce(mat_vec(A, list(x))) == x)
 

@@ -38,10 +38,6 @@ def mat_vec(A: Matrix, v: List[int]) -> List[int]:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)] if A and A[0] else []
-
-
 def _swap_cols(A, i, j):
     for row in A:
         row[i], row[j] = row[j], row[i]
@@ -51,15 +47,6 @@ def _addmul_col(A, dst, src, c):
     if c:
         for row in A:
             row[dst] += c * row[src]
-
-
-def _combine_cols(A, V, i, j, a, b, c, d):
-    """(col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j), on A and V."""
-    for M in (A, V):
-        for row in M:
-            x, y = row[i], row[j]
-            row[i] = a * x + b * y
-            row[j] = c * x + d * y
 
 
 def hermite_normal_form(A: Matrix) -> Tuple[Matrix, Matrix]:
@@ -93,7 +80,7 @@ def hermite_normal_form(A: Matrix) -> Tuple[Matrix, Matrix]:
             g = gcd(a, b)
             # unimodular 2-column transform sending (a, b) -> (g, 0)
             x, y = _bezout(a, b)
-            _combine_cols_pair(H, V, pivot, j, x, y, -(b // g), a // g)
+            _combine_cols((H, V), pivot, j, x, y, -(b // g), a // g)
         if pivot != col:
             _swap_cols(H, pivot, col)
             _swap_cols(V, pivot, col)
@@ -127,9 +114,10 @@ def _bezout(a: int, b: int) -> Tuple[int, int]:
     return old_s, old_t
 
 
-def _combine_cols_pair(A, V, i, j, a, b, c, d):
-    """(col_i, col_j) <- (a·col_i + b·col_j, c·col_i + d·col_j)."""
-    for M in (A, V):
+def _combine_cols(mats, i, j, a, b, c, d):
+    """(col_i, col_j) <- (a·col_i + b·col_j, c·col_i + d·col_j) in each
+    matrix of mats."""
+    for M in mats:
         for row in M:
             x, y = row[i], row[j]
             row[i] = a * x + b * y
@@ -151,12 +139,20 @@ def kernel_basis(A: Matrix) -> Matrix:
     return KH
 
 
-def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
-    """Returns (D, U, V) with U·A·V = D diagonal, d_1 | d_2 | ..., d_i >= 0."""
+def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Returns (D, U, V, U_inv) with U·A·V = D diagonal, d_1 | d_2 | ...,
+    d_i >= 0, and U·U_inv = I.
+
+    U_inv is kept as the elimination runs: the inverse of each row
+    operation on U is applied to the columns of U_inv.  Inverting U
+    afterwards would take a second elimination on a matrix whose entries
+    can grow to hundreds of bits.
+    """
     n = len(A)
     m = len(A[0]) if A else 0
     D = [row[:] for row in A]
     U = identity(n)
+    U_inv = identity(n)
     V = identity(m)
     t = 0
     while t < min(n, m):
@@ -175,6 +171,7 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
         if i0 != t:
             D[t], D[i0] = D[i0], D[t]
             U[t], U[i0] = U[i0], U[t]
+            _swap_cols(U_inv, t, i0)
         if j0 != t:
             _swap_cols(D, t, j0)
             _swap_cols(V, t, j0)
@@ -195,13 +192,15 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                     U[t] = [x * p + y * q for p, q in zip(ut, ui)]
                     U[i] = [-(b // g) * p + (a // g) * q
                             for p, q in zip(ut, ui)]
+                    # [[x, y], [-b/g, a/g]]^-1 = [[a/g, -y], [b/g, x]]
+                    _combine_cols((U_inv,), t, i, a // g, b // g, -y, x)
                     improved = True
             for j in range(t + 1, m):
                 a, b = D[t][t], D[t][j]
                 if b % a:
                     x, y = _bezout(a, b)
                     g = gcd(a, b)
-                    _combine_cols_pair(D, V, t, j, x, y, -(b // g), a // g)
+                    _combine_cols((D, V), t, j, x, y, -(b // g), a // g)
                     improved = True
             if improved:
                 continue
@@ -213,6 +212,7 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                 if q:
                     D[i] = [p - q * r for p, r in zip(D[i], D[t])]
                     U[i] = [p - q * r for p, r in zip(U[i], U[t])]
+                    _addmul_col(U_inv, t, i, q)
             for j in range(t + 1, m):
                 q = D[t][j] // a
                 if q:
@@ -236,17 +236,20 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
                 D[t][p] += D[bad][p]
             for p in range(n):
                 U[t][p] += U[bad][p]
+            _addmul_col(U_inv, bad, t, -1)
             continue  # redo this pivot
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
+            for row in U_inv:
+                row[t] = -row[t]
         t += 1
-    return D, U, V
+    return D, U, V, U_inv
 
 
 def invariant_factors(A: Matrix) -> List[int]:
     """Nonzero diagonal entries of the Smith form (d_1 | d_2 | ...)."""
-    D, _, _ = smith_normal_form(A)
+    D = smith_normal_form(A)[0]
     out = []
     for t in range(min(len(D), len(D[0]) if D else 0)):
         if D[t][t]:
@@ -257,7 +260,7 @@ def invariant_factors(A: Matrix) -> List[int]:
 def inverse_unimodular(U: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix (exact, via SNF transforms)."""
     n = len(U)
-    D, P, Q = smith_normal_form(U)
+    D, P, Q, _ = smith_normal_form(U)
     for t in range(n):
         if D[t][t] != 1:
             raise ValueError("matrix is not unimodular")
@@ -265,20 +268,28 @@ def inverse_unimodular(U: Matrix) -> Matrix:
     return mat_mul(Q, P)
 
 
-def solve_integer(A: Matrix, v: List[int]) -> Optional[List[int]]:
-    """An integer solution x of A·x = v, or None if none exists."""
+def solve_integer_matrix(A: Matrix, Y: Matrix) -> Optional[Matrix]:
+    """An integer X with A·X = Y, or None if some column of Y is not in the
+    column lattice of A.  All columns are solved against one Smith form."""
     if not A:
         return []
     n, m = len(A), len(A[0])
-    D, U, V = smith_normal_form(A)
-    w = mat_vec(U, v)
-    y = [0] * m
+    k = len(Y[0])
+    D, U, V, _ = smith_normal_form(A)
+    W = mat_mul(U, Y)
+    Z = [[0] * k for _ in range(m)]
     for i in range(n):
-        d = D[i][i] if i < min(n, m) else 0
+        d = D[i][i] if i < m else 0
         if d:
-            if w[i] % d:
+            if any(w % d for w in W[i]):
                 return None
-            y[i] = w[i] // d
-        elif w[i]:
+            Z[i] = [w // d for w in W[i]]
+        elif any(W[i]):
             return None
-    return mat_vec(V, y)
+    return mat_mul(V, Z)
+
+
+def solve_integer(A: Matrix, v: List[int]) -> Optional[List[int]]:
+    """An integer solution x of A·x = v, or None if none exists."""
+    X = solve_integer_matrix(A, [[x] for x in v])
+    return None if X is None else [row[0] for row in X]

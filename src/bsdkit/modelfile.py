@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .compgroup import Component, SpecialFibre
 from .groebner import Ideal
@@ -153,17 +154,26 @@ MODEL_SCHEMA = {
 }
 
 
+# validators built once: jsonschema.validate checks the schema against its
+# metaschema again on every call, at many times the cost of the validation
+_MODEL_VALIDATOR = validator_for(MODEL_SCHEMA)(MODEL_SCHEMA)
+
+
+def _validate(validator, doc, kind: str, path: str):
+    """SchemaError with the message jsonschema.validate would give."""
+    error = best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise SchemaError(f"{kind} file {path} fails schema validation: "
+                          f"{error.message}")
+
+
 def load_model(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}")
-    try:
-        jsonschema.validate(doc, MODEL_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"model file {path} fails schema validation: "
-                          f"{exc.message}")
+    _validate(_MODEL_VALIDATOR, doc, "model", path)
     return doc
 
 
@@ -334,15 +344,14 @@ MATRIX_SCHEMA = {
 }
 
 
+_MATRIX_VALIDATOR = validator_for(MATRIX_SCHEMA)(MATRIX_SCHEMA)
+
+
 def load_matrix_file(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read matrix file {path}: {exc}")
-    try:
-        jsonschema.validate(doc, MATRIX_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"matrix file {path} fails schema validation: "
-                          f"{exc.message}")
+    _validate(_MATRIX_VALIDATOR, doc, "matrix", path)
     return doc

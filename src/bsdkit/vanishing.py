@@ -130,7 +130,9 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
                               mode: str = "modified") -> VanishingOrder:
     """Run the chain over ZZ/p^(floor(r/m)+1)ZZ.
 
-    A result < r is exact; otherwise only "order >= r" is known.
+    A result < r is exact; otherwise only "order >= r" is known.  That
+    includes a nonzero f that is 0 or lies in J over ZZ/p^e: then
+    ord_D(f) >= e*m > r.
     """
     if r < 1:
         raise VanishingError("threshold r must be >= 1")
@@ -138,10 +140,16 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
         raise VanishingError("multiplicity m must be >= 1")
     if locus.ring.kind != "ZZ":
         raise VanishingError("truncated computation starts from ZZ data")
+    if f.is_zero():
+        raise FunctionVanishesOnCurve(
+            "f vanishes identically on the curve V(J)")
     e = r // m + 1
     target = CoefficientRing.Zmod(locus.p, e)
-    res = vanishing_order(f.change_ring(target), locus.change_ring(target),
-                          mode=mode, budget=r)
+    try:
+        res = vanishing_order(f.change_ring(target),
+                              locus.change_ring(target), mode=mode, budget=r)
+    except FunctionVanishesOnCurve:
+        return VanishingOrder(r, exact=False)
     if res.exact and res.order < r:
         return res
     return VanishingOrder(r, exact=False)

@@ -102,6 +102,28 @@ class TestVanishingOrder:
                          "--component", "D9", "--function", "2")
         assert code == 2
 
+    def test_truncated_ring_kills_function(self, tmp_path, capsys):
+        # y^8 - x^8 + 2x + 2, xz = 2: D0 has multiplicity 8, so ord(4) = 16;
+        # --truncate 9 runs over ZZ/2^2, where 4 = 0
+        model = {
+            "p": 2,
+            "patches": [{"id": "U", "variables": ["x", "y", "z"],
+                         "equations": ["y^8 - x^8 + 2*x + 2", "x*z - 2"]}],
+            "special_fibre": {
+                "components": [{"id": "D0", "patch": "U",
+                                "prime_ideal": ["x + y", "z", "2"],
+                                "multiplicity": 8}],
+                "intersections": [[0]],
+                "frobenius": {"D0": "D0"},
+            },
+        }
+        path = tmp_path / "c2_k8.json"
+        path.write_text(json.dumps(model))
+        doc = run_json(capsys, "vanishing-order", str(path),
+                       "--component", "D0", "--function", "4",
+                       "--truncate", "9")
+        assert doc == {"order": 9, "exact": False}
+
 
 # ---------------------------------------------------------------------------
 # period

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdkit.compgroup import (Component, FibreError, OrbitCluster,
-                              SpecialFibre, assemble_fibre,
+                              SpecialFibre, _kernel_coordinates,
+                              _rational_rank, assemble_fibre,
                               brute_force_component_group, component_group,
                               expand_orbit, fixed_point_count,
                               tamagawa_number, validate_fibre)
 from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            inverse_unimodular, kernel_basis, mat_mul,
-                           smith_normal_form, solve_integer)
+                           smith_normal_form, solve_integer,
+                           solve_integer_matrix)
 
 
 def cycle_fibre(n, p=7, rot=0, mults=None):
@@ -151,6 +153,146 @@ class TestComponentGroup:
 
 
 # ---------------------------------------------------------------------------
+# shuffled component orders: the cost and the answer must not depend on them
+
+def theta_edges(a, b, c):
+    """Components 0 and 1 joined by chains of a, b and c edges."""
+    edges, chains, nxt = [], [], 2
+    for length in (a, b, c):
+        path = [0] + list(range(nxt, nxt + length - 1)) + [1]
+        nxt += length - 1
+        chains.append(path)
+        edges.extend(zip(path, path[1:]))
+    return nxt, edges, chains
+
+
+def graph_fibre(n, edges, sigma, perm):
+    """Dual-graph fibre, vertex v becoming component perm[v], Frobenius
+    v -> sigma[v]."""
+    M = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        M[perm[u]][perm[v]] += 1
+        M[perm[v]][perm[u]] += 1
+    for i in range(n):
+        M[i][i] = -sum(M[i][j] for j in range(n) if j != i)
+    comps = [Component(f"C{i}", 1) for i in range(n)]
+    frob = {f"C{perm[v]}": f"C{perm[sigma[v]]}" for v in range(n)}
+    return SpecialFibre(7, comps, M, frob)
+
+
+def shuffled(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def graph_family():
+    """(n, edges, sigma, spanning-tree count) for cycles and theta graphs
+    with trivial, reflected and swapped Frobenius."""
+    for n in (5, 8, 12):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        yield n, edges, list(range(n)), n
+        yield n, edges, [(-i) % n for i in range(n)], n
+    for a, b, c in ((2, 2, 3), (3, 3, 2), (4, 4, 3), (3, 5, 4)):
+        n, edges, chains = theta_edges(a, b, c)
+        trees = a * b + b * c + c * a
+        yield n, edges, list(range(n)), trees
+        if a == b:
+            sigma = list(range(n))
+            for u, v in zip(chains[0][1:-1], chains[1][1:-1]):
+                sigma[u], sigma[v] = v, u
+            yield n, edges, sigma, trees
+
+
+def test_shuffled_orders_match_oracle():
+    for n, edges, sigma, trees in graph_family():
+        for seed in range(3):
+            F = graph_fibre(n, edges, sigma, shuffled(n, seed))
+            G = component_group(F)
+            oracle = brute_force_component_group(F)
+            assert G.order == trees, (n, edges, seed)
+            assert G.invariant_factors == oracle.invariant_factors
+            assert fixed_point_count(G) == oracle.fixed_point_count
+
+
+def test_component_group_factors_each_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(len(A))
+        return smith_normal_form(A)
+
+    monkeypatch.setattr("bsdkit.intmat.smith_normal_form", counting)
+    monkeypatch.setattr("bsdkit.compgroup.smith_normal_form", counting)
+    for n in (2, 5, 12, 30):
+        calls.clear()
+        component_group(cycle_fibre(n, rot=1))
+        assert len(calls) <= 2, (n, calls)
+    n, edges, _ = theta_edges(6, 6, 5)
+    calls.clear()
+    component_group(graph_fibre(n, edges, list(range(n)), shuffled(n, 0)))
+    assert len(calls) <= 2, calls
+
+
+def test_snf_inverse_on_shuffled_theta():
+    # the relation matrix of the theta graph (24, 24, 2) in this order gave
+    # U with entries of hundreds of bits
+    n, edges, _ = theta_edges(24, 24, 2)
+    F = graph_fibre(n, edges, list(range(n)), shuffled(n, 0))
+    _, C, _ = _kernel_coordinates(F)
+    D, U, V, U_inv = smith_normal_form(C)
+    assert mat_mul(mat_mul(U, C), V) == D
+    assert mat_mul(U, U_inv) == identity(len(C))
+    G = component_group(F)
+    assert G.invariant_factors == [2, 336]
+    assert fixed_point_count(G) == 24 * 24 + 2 * 24 * 2
+
+
+def test_snf_inverse_on_random_matrices():
+    rng = random.Random(5)
+    for _ in range(40):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        A = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
+        D, U, V, U_inv = smith_normal_form(A)
+        assert mat_mul(mat_mul(U, A), V) == D
+        assert mat_mul(U, U_inv) == identity(n)
+
+
+def _fraction_rank(M):
+    A = [[Fraction(x) for x in row] for row in M]
+    rank, rows, cols = 0, len(A), len(A[0])
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if A[r][c]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        for r in range(rows):
+            if r != rank and A[r][c]:
+                f = A[r][c] / A[rank][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def test_rational_rank_matches_fraction_elimination():
+    rng = random.Random(11)
+    for _ in range(60):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            A = [[rng.randint(-50, 50) for _ in range(m)] for _ in range(n)]
+        else:
+            # a product through k < min(n, m) is rank-deficient
+            k = rng.randint(1, max(1, min(n, m) - 1))
+            L = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+            R = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+            A = mat_mul(L, R)
+        assert _rational_rank(A) == _fraction_rank(A), A
+    n, edges, _ = theta_edges(5, 5, 4)
+    M = graph_fibre(n, edges, list(range(n)), shuffled(n, 1)).intersections
+    assert _rational_rank(M) == _fraction_rank(M) == n - 1
+
+
+# ---------------------------------------------------------------------------
 # orbit expansion
 
 def simple_cluster(m, link_val=1):
@@ -249,8 +391,9 @@ def test_hnf_properties(A):
 @settings(max_examples=80, deadline=None)
 @given(mat_strategy)
 def test_snf_properties(A):
-    D, U, V = smith_normal_form(A)
+    D, U, V, U_inv = smith_normal_form(A)
     assert mat_mul(mat_mul(U, A), V) == D
+    assert mat_mul(U, U_inv) == identity(len(A))
     assert abs(_det(U)) == 1 and abs(_det(V)) == 1
     diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
     for i in range(len(diag) - 1):
@@ -279,9 +422,20 @@ def test_invariant_factors_example():
 def test_inverse_unimodular():
     U = [[1, 2], [1, 3]]
     assert mat_mul(U, inverse_unimodular(U)) == identity(2)
+    _, P, _, P_inv = smith_normal_form(U)
+    assert mat_mul(P, P_inv) == identity(2)
 
 
 def test_solve_integer():
     A = [[2, 0], [0, 3]]
     assert solve_integer(A, [4, 9]) == [2, 3]
     assert solve_integer(A, [1, 0]) is None
+
+
+def test_solve_integer_matrix():
+    A = [[2, 0], [0, 3], [0, 0]]
+    assert solve_integer_matrix(A, [[4, 2], [9, -3], [0, 0]]) == \
+        [[2, 1], [3, -1]]
+    # one column outside the lattice fails the whole solve
+    assert solve_integer_matrix(A, [[4, 1], [9, 0], [0, 0]]) is None
+    assert solve_integer_matrix(A, [[4, 2], [9, 3], [0, 1]]) is None

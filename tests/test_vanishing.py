@@ -77,6 +77,21 @@ class TestTruncation:
         res = vanishing_order_truncated(const(1), sect31_locus(), r=1, m=1)
         assert res.order == 0 and res.exact
 
+    def test_zero_in_truncated_ring_reports_at_least(self):
+        # 4 = 0 in ZZ/2^2 (e = 3 // 2 + 1) and ord(4) = 2 * 2 >= 3
+        res = vanishing_order_truncated(const(4), sect31_locus(), r=3, m=2)
+        assert res.order == 3 and not res.exact
+
+    def test_in_truncated_curve_reports_at_least(self):
+        # f - (y^2 - x^2 + 2x + 2) = 4 lies in J over ZZ/4 but not over ZZ
+        f = P("y^2 - x^2 + 2*x + 6")
+        res = vanishing_order_truncated(f, sect31_locus(), r=3, m=2)
+        assert res.order == 3 and not res.exact
+
+    def test_zero_over_zz_still_raises(self):
+        with pytest.raises(FunctionVanishesOnCurve):
+            vanishing_order_truncated(const(0), sect31_locus(), r=3, m=2)
+
     def test_requires_zz(self):
         ring = CoefficientRing.Zmod(2, 4)
         with pytest.raises(VanishingError):
