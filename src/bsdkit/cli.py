@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import groebner
 from .compgroup import FibreError, component_group, fixed_point_count
@@ -24,8 +23,8 @@ from .modelfile import (ModelMathError, SchemaError, component_locus,
                         load_matrix_file, load_model, parse_fibre,
                         parse_patches, parse_prime_model,
                         parse_period_matrix)
-from .periods import (DEFAULT_TOL, PeriodError, covolumes,
-                      lattice_generator, neron_basis_adjust, real_period)
+from .periods import (DEFAULT_TOL, PeriodError, RepeatedPrimeError,
+                      period_pipeline)
 from .poly import MonomialOrder, ParseError, parse_polynomial
 from .rings import CoefficientRing, RingError, ZZ, is_prime
 from .vanishing import (VanishingError, vanishing_order,
@@ -93,26 +92,26 @@ def cmd_vanishing_order(args) -> int:
 def cmd_period(args) -> int:
     matrix_doc = load_matrix_file(args.matrix_file)
     matrix = parse_period_matrix(matrix_doc)
-    m_real = matrix_doc["real_components"]
-    covs = covolumes(matrix)
-    gen = lattice_generator([v for _, v in covs], tol=args.tol)
-    W = Fraction(1)
-    W_by_p = {}
-    for path in args.models:
-        doc = load_model(path)
-        model, diffs = parse_prime_model(doc)
-        res = neron_basis_adjust(model, diffs)
-        W_by_p[str(model.p)] = str(res.W_p)
-        W *= res.W_p
-    omega = real_period(gen.value, W, m_real)
+    diffs = {}
+
+    def models():
+        # read by period_pipeline after it finds the lattice generator
+        for path in args.models:
+            model, diffs_p = parse_prime_model(load_model(path))
+            diffs.setdefault(model.p, diffs_p)
+            yield model
+
+    res = period_pipeline(matrix, models(), diffs,
+                          matrix_doc["real_components"], tol=args.tol)
     return _emit({
-        "P_I": [{"rows": list(I), "value": repr(v)} for I, v in covs],
-        "P": repr(gen.value),
-        "witness": gen.witness,
-        "W": W_by_p,
-        "W_total": str(W),
-        "m_real": m_real,
-        "omega": repr(omega),
+        "P_I": [{"rows": list(I), "value": repr(v)}
+                for I, v in res.covolumes],
+        "P": repr(res.P),
+        "witness": res.witness,
+        "W": {str(p): str(r.W_p) for p, r in res.per_prime.items()},
+        "W_total": str(res.W),
+        "m_real": res.m_real,
+        "omega": repr(res.omega),
         "precision": repr(args.tol),
     })
 
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-SCHEMA_ERRORS = (SchemaError, CliSchemaError, ParseError)
+SCHEMA_ERRORS = (SchemaError, CliSchemaError, ParseError, RepeatedPrimeError)
 MATH_ERRORS = (ModelMathError, FibreError, VanishingError, GroebnerError,
                PeriodError, FieldTowerError, RingError)
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
-                     mat_mul, mat_vec, smith_normal_form,
+                     mat_mul, mat_vec, rank_det, smith_normal_form,
                      solve_integer_matrix)
+from .rings import factorize
 
 
 class FibreError(ValueError):
@@ -61,30 +62,6 @@ class FinAbGroupWithAction:
         return n
 
 
-def _rational_rank(M: Sequence[Sequence[int]]) -> int:
-    """Rank over QQ by fraction-free (Bareiss) elimination.
-
-    After k pivots each entry left below them is, up to sign, a
-    (k+1)-minor of M, so dividing each update by the previous pivot is
-    exact (Sylvester's identity) and all arithmetic stays in ZZ.
-    """
-    A = [list(row) for row in M]
-    rank, prev = 0, 1
-    rows, cols = len(A), len(A[0]) if A else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if A[r][c]), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        top, p = A[rank], A[rank][c]
-        for r in range(rank + 1, rows):
-            a = A[r][c]
-            A[r] = [(p * x - a * y) // prev for x, y in zip(A[r], top)]
-        prev = p
-        rank += 1
-    return rank
-
-
 def validate_fibre(F: SpecialFibre) -> List[str]:
     """All SpecialFibre invariants; returns a list of failure messages."""
     out: List[str] = []
@@ -128,7 +105,7 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
                 out.append(f"frobenius does not preserve the intersection "
                            f"number of ({ids[i]}, {ids[j]})")
     if not out and n > 0:
-        rank = _rational_rank(M)
+        rank = rank_det(M)[0]
         if rank != n - 1:
             out.append(f"intersection graph is disconnected "
                        f"(matrix rank {rank} != {n - 1})")
@@ -216,23 +193,10 @@ class GroupTable:
     elements: List[Tuple[int, ...]]   # canonical coset representatives
 
 
-def _factorize(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _invariants_from_counts(order: int, kill_count) -> List[int]:
     """Invariant factors of a finite abelian group from the counts
     c(k) = #{x : k·x = 0} (kill_count is that function)."""
-    primes = _factorize(order)
+    primes = factorize(order)
     per_prime: Dict[int, List[int]] = {}
     max_len = 0
     for q in primes:

@@ -10,19 +10,23 @@ degree, with embedding witnesses.
 
 Polynomials here are univariate, encoded as tuples of coefficients in
 ascending degree: ints for ZZ-level data, Fractions for QQ-level
-embeddings.
+embeddings.  Their arithmetic is the ring-generic layer of `rings`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .intmat import rank_det
 from .poly import Polynomial
-from .rings import (CoefficientRing, fp_is_irreducible, fp_is_squarefree,
-                    fp_trim, find_irreducible, is_prime)
+from .rings import (QQ, CoefficientRing, factorize, find_irreducible,
+                    is_prime, up, up_add, up_compose_mod, up_is_irreducible,
+                    up_is_squarefree, up_mod, up_mul, up_scale, up_sub,
+                    up_trim)
 
 DEGREE_CAP = 24
 
@@ -32,124 +36,7 @@ class FieldTowerError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over QQ (tuples of Fractions, low degree first)
-
-
-def uq(coeffs) -> Tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def uq_add(a, b):
-    n = max(len(a), len(b))
-    return uq([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-               for i in range(n)])
-
-
-def uq_sub(a, b):
-    n = max(len(a), len(b))
-    return uq([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-               for i in range(n)])
-
-
-def uq_scale(a, c):
-    return uq([Fraction(c) * x for x in a])
-
-
-def uq_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return uq(out)
-
-
-def uq_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        d = len(a) - len(b)
-        c = a[-1] * inv
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        while a and a[-1] == 0:
-            a.pop()
-    return uq(q), uq(a)
-
-
-def uq_mod(a, b):
-    return uq_divmod(a, b)[1]
-
-
-def uq_gcd(a, b):
-    while b:
-        a, b = b, uq_mod(a, b)
-    if a:
-        a = uq_scale(a, 1 / a[-1])
-    return a
-
-
-def uq_compose_mod(a, b, mod):
-    """a(b) reduced modulo mod, by Horner."""
-    acc: Tuple[Fraction, ...] = ()
-    for c in reversed(a):
-        acc = uq_mod(uq_add(uq_mul(acc, b), uq((c,))), mod)
-    return acc
-
-
-def uq_eval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def uq_to_int(a) -> Tuple[int, ...]:
-    out = []
-    for c in a:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise FieldTowerError(f"expected integer coefficients, got {a}")
-        out.append(c.numerator)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # integer resultants and discriminants
-
-
-def _bareiss_det(M: List[List[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1]
 
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
@@ -173,7 +60,7 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     for i in range(n):
         for j, c in enumerate(reversed(g)):
             S[m + i][i + j] = c
-    return _bareiss_det(S)
+    return rank_det(S)[1]
 
 
 def discriminant(f: Sequence[int]) -> int:
@@ -190,121 +77,6 @@ def discriminant(f: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over an arbitrary finite field (elements of a
-# CoefficientRing with is_field(); coefficients low degree first)
-
-
-def gfq_trim(ring, a):
-    a = list(a)
-    while a and ring.is_zero(a[-1]):
-        a.pop()
-    return tuple(a)
-
-
-def gfq_mul(ring, a, b):
-    if not a or not b:
-        return ()
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not ring.is_zero(x):
-            for j, y in enumerate(b):
-                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    return gfq_trim(ring, out)
-
-
-def gfq_mod(ring, a, b):
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    a = list(a)
-    inv = ring.inv(b[-1])
-    while len(a) >= len(b):
-        if ring.is_zero(a[-1]):
-            a.pop()
-            continue
-        d = len(a) - len(b)
-        c = ring.mul(a[-1], inv)
-        for i, y in enumerate(b):
-            a[d + i] = ring.sub(a[d + i], ring.mul(c, y))
-        while a and ring.is_zero(a[-1]):
-            a.pop()
-    return gfq_trim(ring, a)
-
-
-def gfq_gcd(ring, a, b):
-    while b:
-        a, b = b, gfq_mod(ring, a, b)
-    if a:
-        inv = ring.inv(a[-1])
-        a = gfq_trim(ring, [ring.mul(inv, x) for x in a])
-    return a
-
-
-def gfq_powmod(ring, a, n: int, mod):
-    result = (ring.one(),)
-    a = gfq_mod(ring, a, mod)
-    while n:
-        if n & 1:
-            result = gfq_mod(ring, gfq_mul(ring, result, a), mod)
-        a = gfq_mod(ring, gfq_mul(ring, a, a), mod)
-        n >>= 1
-    return result
-
-
-def gfq_is_irreducible(ring, f) -> bool:
-    """Irreducibility over GF(q), q = p^k, via the x^(q^d) - x ladder."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = ring.p ** (ring.k or 1)
-    x = (ring.zero(), ring.one())
-
-    def minus_x(h):
-        out = list(h) + [ring.zero()] * max(0, 2 - len(h))
-        out[1] = ring.sub(out[1], ring.one())
-        return gfq_trim(ring, out)
-
-    if minus_x(gfq_powmod(ring, x, q ** n, f)):
-        return False
-    for r in {d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}:
-        h = minus_x(gfq_powmod(ring, x, q ** (n // r), f))
-        if gfq_gcd(ring, h, f) != (ring.one(),):
-            return False
-    return True
-
-
-def gfq_find_irreducible(ring, degree: int, rng: random.Random,
-                         budget: int = 2000):
-    """Monic irreducible of the given degree over the finite field."""
-    q_elems = _field_elements(ring)
-    for _ in range(budget):
-        coeffs = [rng.choice(q_elems) for _ in range(degree)]
-        f = tuple(coeffs) + (ring.one(),)
-        if gfq_is_irreducible(ring, f):
-            return f
-    raise FieldTowerError("budget exhausted searching for an irreducible "
-                          f"degree-{degree} polynomial")
-
-
-def _field_elements(ring):
-    p = ring.p
-    k = ring.k or 1
-    if ring.kind == "GF":
-        return list(range(p))
-    out = []
-
-    def rec(prefix, depth):
-        if depth == k:
-            out.append(fp_trim(prefix, p))
-            return
-        for c in range(p):
-            rec(prefix + [c], depth + 1)
-    rec([], 0)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the quotient algebra QQ[x, y]/(f1(x), H(x, y)) and minimal polynomials
 
 
@@ -314,9 +86,9 @@ class _TowerAlgebra:
     lists over the y-degree of QQ[x]-polynomials (reduced mod f1)."""
 
     def __init__(self, f1: Sequence[int], H: Sequence[Sequence[int]]):
-        self.f1 = uq(f1)
+        self.f1 = up(QQ, f1)
         self.n = len(self.f1) - 1
-        self.H = [uq(c) for c in H]       # H[j] = coefficient of y^j
+        self.H = [up(QQ, c) for c in H]       # H[j] = coefficient of y^j
         if self.H[-1] != (Fraction(1),):
             raise FieldTowerError("H must be monic in y")
         self.ell = len(self.H) - 1
@@ -327,22 +99,22 @@ class _TowerAlgebra:
 
     def x_elem(self):
         e = self.zero()
-        e[0] = uq_mod(uq((0, 1)), self.f1)
+        e[0] = up_mod(QQ, up(QQ, (0, 1)), self.f1)
         return e
 
     def y_elem(self):
         if self.ell == 1:
             # y = -H[0] in the quotient
-            return [uq_mod(uq_scale(self.H[0], -1), self.f1)]
+            return [up_mod(QQ, up_scale(QQ, self.H[0], -1), self.f1)]
         e = self.zero()
         e[1] = (Fraction(1),)
         return e
 
     def add(self, a, b):
-        return [uq_add(x, y) for x, y in zip(a, b)]
+        return [up_add(QQ, x, y) for x, y in zip(a, b)]
 
     def scale(self, a, c):
-        return [uq_scale(x, c) for x in a]
+        return [up_scale(QQ, x, c) for x in a]
 
     def mul(self, a, b):
         # convolve in y
@@ -351,7 +123,7 @@ class _TowerAlgebra:
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        conv[i + j] = uq_add(conv[i + j], uq_mul(x, y))
+                        conv[i + j] = up_add(QQ, conv[i + j], up_mul(QQ, x, y))
         # reduce y-degrees >= ell using y^ell = -sum H[j] y^j
         for d in range(2 * self.ell - 2, self.ell - 1, -1):
             c = conv[d]
@@ -359,9 +131,9 @@ class _TowerAlgebra:
                 continue
             conv[d] = ()
             for j in range(self.ell):
-                conv[d - self.ell + j] = uq_sub(
-                    conv[d - self.ell + j], uq_mul(c, self.H[j]))
-        return [uq_mod(c, self.f1) for c in conv[:self.ell]]
+                conv[d - self.ell + j] = up_sub(
+                    QQ, conv[d - self.ell + j], up_mul(QQ, c, self.H[j]))
+        return [up_mod(QQ, c, self.f1) for c in conv[:self.ell]]
 
     def coords(self, a) -> List[Fraction]:
         out = [Fraction(0)] * self.dim
@@ -402,12 +174,10 @@ def minimal_polynomial(alg: _TowerAlgebra, theta
     the witness solve fails).
     """
     N = alg.dim
-    powers = []
     cur = alg.zero()
     cur[0] = (Fraction(1),)
     cols = []
     for _ in range(N):
-        powers.append(cur)
         cols.append(alg.coords(cur))
         cur = alg.mul(cur, theta)
     target = alg.coords(cur)          # theta^N
@@ -419,14 +189,10 @@ def minimal_polynomial(alg: _TowerAlgebra, theta
         return None
     a, cx, cy = sol
     # g(T) = T^N - sum a_k T^k
-    g = uq([-v for v in a] + [1])
-    if len(g) != N + 1:
+    g = up(QQ, [-v for v in a] + [1])
+    if len(g) != N + 1 or any(c.denominator != 1 for c in g):
         return None
-    try:
-        g_int = uq_to_int(g)
-    except FieldTowerError:
-        return None
-    return g_int, uq(cx), uq(cy)
+    return tuple(c.numerator for c in g), up_trim(QQ, cx), up_trim(QQ, cy)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +212,6 @@ class NumberFieldNode:
     defining_poly: Tuple[int, ...]
     levels: Dict[int, int]                       # prime -> chain exponent
     gen_images: Dict[int, Tuple[Fraction, ...]]  # top chain gen -> image
-    parent: Optional["NumberFieldNode"] = None
     subfield_registry: Dict[int, Tuple["NumberFieldNode",
                                        Tuple[Fraction, ...]]] = \
         field(default_factory=dict)
@@ -463,30 +228,32 @@ def _divisors(n: int) -> List[int]:
     return out
 
 
-def _factorize(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def is_inert(f, p: int) -> bool:
     """Whether p is inert in QQ[x]/(f): f irreducible mod p."""
     fi = _as_int_poly(f)
     if not fi or fi[-1] != 1:
         raise FieldTowerError("f must be monic")
-    fbar = fp_trim(fi, p)
+    F = CoefficientRing.GF(p)
+    fbar = up(F, fi)
     if len(fbar) != len(fi):
         raise FieldTowerError("f is not monic modulo p")
-    if not fp_is_squarefree(fbar, p):
+    if not up_is_squarefree(F, fbar):
         raise FieldTowerError(f"f is not squarefree modulo {p}")
-    return fp_is_irreducible(fbar, p)
+    return up_is_irreducible(F, fbar)
+
+
+def _random_irreducible(R: CoefficientRing, degree: int, rng: random.Random,
+                        budget: int = 2000):
+    """Monic irreducible of the given degree over GF(p^k) = R, k >= 2, with
+    coefficients drawn uniformly from R."""
+    elements = [R.coerce(c)
+                for c in itertools.product(range(R.p), repeat=R.k)]
+    for _ in range(budget):
+        f = tuple(rng.choice(elements) for _ in range(degree)) + (R.one(),)
+        if up_is_irreducible(R, f):
+            return f
+    raise FieldTowerError("budget exhausted searching for an irreducible "
+                          f"degree-{degree} polynomial")
 
 
 def _as_int_poly(f) -> Tuple[int, ...]:
@@ -510,6 +277,7 @@ class FieldTower:
         if not is_prime(p):
             raise FieldTowerError(f"{p} is not prime")
         self.p = p
+        self.residue_field = CoefficientRing.GF(p)
         self.rng = random.Random(seed)
         self.degree_cap = degree_cap
         self.chains: Dict[int, List[ChainLevel]] = {}
@@ -535,35 +303,35 @@ class FieldTower:
         p = self.p
         if e == 0:
             g = tuple(find_irreducible(p, ell))     # lift of the residue poly
-            chain.append(ChainLevel(g, uq(())))
+            chain.append(ChainLevel(g, ()))
             return
         base = chain[-1].poly
-        R = CoefficientRing.GF(p, len(base) - 1, modulus=fp_trim(base, p))
+        R = CoefficientRing.GF(p, len(base) - 1, modulus=base)
         tries = 0
         while True:
             tries += 1
             if tries > budget:
                 raise FieldTowerError("budget exhausted extending the "
                                       f"{ell}-chain")
-            hbar = gfq_find_irreducible(R, ell, self.rng)
+            hbar = _random_irreducible(R, ell, self.rng)
             # lift: each GF(p^k) coefficient is a ZZ[x]-polynomial
-            H = []
-            for c in hbar:
-                if R.kind == "GF":
-                    H.append((int(c),))
-                else:
-                    H.append(tuple(int(v) for v in c) or (0,))
+            H = [tuple(int(v) for v in c) or (0,) for c in hbar]
             alg = _TowerAlgebra(base, H)
             res = minimal_polynomial(alg, alg.y_elem())
             if res is None:
                 continue
             g, wx, wy = res
-            gbar = fp_trim(g, p)
-            if len(gbar) != len(g) or not fp_is_squarefree(gbar, p) \
-                    or not fp_is_irreducible(gbar, p):
+            if not self._inert(g):
                 continue
             chain.append(ChainLevel(tuple(g), wx))
             return
+
+    def _inert(self, g) -> bool:
+        """Whether g stays irreducible of the same degree mod p (so also
+        squarefree mod p: finite fields are perfect)."""
+        gbar = up(self.residue_field, g)
+        return len(gbar) == len(g) and \
+            up_is_irreducible(self.residue_field, gbar)
 
     # -- composita
 
@@ -584,7 +352,7 @@ class FieldTower:
         primes = sorted(levels)
         ell0 = primes[0]
         cur_poly = self.chains[ell0][levels[ell0] - 1].poly
-        gen_images: Dict[int, Tuple[Fraction, ...]] = {ell0: uq((0, 1))}
+        gen_images: Dict[int, Tuple[Fraction, ...]] = {ell0: up(QQ, (0, 1))}
         recipe: List[Tuple[int, int, int, int]] = [(ell0, levels[ell0], 0, 1)]
         degree = len(cur_poly) - 1
         for ell in primes[1:]:
@@ -606,9 +374,7 @@ class FieldTower:
                 if res is None:
                     continue
                 g, wx, wy = res
-                gbar = fp_trim(g, self.p)
-                if len(gbar) != len(g) or not fp_is_squarefree(gbar, self.p) \
-                        or not fp_is_irreducible(gbar, self.p):
+                if not self._inert(g):
                     continue
                 found = (g, wx, wy, s, c_pow)
                 break
@@ -617,7 +383,8 @@ class FieldTower:
                     "no primitive element found for the compositum "
                     f"(budget {budget})")
             g, wx, wy, s, c_pow = found
-            gen_images = {l: uq_compose_mod(img, wx, uq(g))
+            gmod = up(QQ, g)
+            gen_images = {l: up_compose_mod(QQ, img, wx, gmod)
                           for l, img in gen_images.items()}
             gen_images[ell] = wy
             recipe.append((ell, levels[ell], s, c_pow))
@@ -638,9 +405,10 @@ class FieldTower:
         if level > a:
             raise FieldTowerError("chain level not contained in the node")
         img = node.gen_images[ell]              # level-a generator
-        gmod = uq(node.defining_poly)
+        gmod = up(QQ, node.defining_poly)
         for b in range(a - 1, level - 1, -1):
-            img = uq_compose_mod(self.chains[ell][b].embed_prev, img, gmod)
+            img = up_compose_mod(QQ, self.chains[ell][b].embed_prev, img,
+                                 gmod)
         return img
 
     def embed(self, sub: NumberFieldNode, node: NumberFieldNode
@@ -649,20 +417,20 @@ class FieldTower:
         sending sub's primitive element to its image in node."""
         key = tuple(sorted(sub.levels.items()))
         recipe = self._recipes[key]
-        gmod = uq(node.defining_poly)
+        gmod = up(QQ, node.defining_poly)
         if not recipe:
-            return uq(())        # QQ: generator 0
+            return ()        # QQ: generator 0
         ell, lev, _, _ = recipe[0]
         img = self._chain_gen_image(node, ell, lev)
         for (ell, lev, s, c_pow) in recipe[1:]:
             y_img = self._chain_gen_image(node, ell, lev)
             term = y_img
             if s:
-                powx = uq((1,))
+                powx = (QQ.one(),)
                 for _ in range(c_pow):
-                    powx = uq_mod(uq_mul(powx, img), gmod)
-                term = uq_add(term, uq_scale(powx, s))
-            img = uq_mod(term, gmod)
+                    powx = up_mod(QQ, up_mul(QQ, powx, img), gmod)
+                term = up_add(QQ, term, up_scale(QQ, powx, s))
+            img = up_mod(QQ, term, gmod)
         return img
 
     # -- registry
@@ -670,7 +438,7 @@ class FieldTower:
     def _build_registry(self, node: NumberFieldNode):
         reg: Dict[int, Tuple[NumberFieldNode, Tuple[Fraction, ...]]] = {}
         for d in _divisors(node.degree):
-            fac = _factorize(d)
+            fac = factorize(d)
             if any(ell not in node.levels
                    or fac[ell] > node.levels[ell] for ell in fac):
                 raise FieldTowerError(
@@ -678,8 +446,8 @@ class FieldTower:
             sub = self.node_for({ell: fac.get(ell, 0)
                                  for ell in node.levels})
             w = self.embed(sub, node)
-            check = uq_compose_mod(uq(sub.defining_poly), w,
-                                   uq(node.defining_poly))
+            check = up_compose_mod(QQ, up(QQ, sub.defining_poly), w,
+                                   up(QQ, node.defining_poly))
             if check:
                 raise FieldTowerError(
                     f"embedding witness for degree {d} failed verification")
@@ -715,7 +483,6 @@ def extend_inert(K: NumberFieldNode, ell: int, p: int,
     while len(tower.chains.get(ell, [])) < levels[ell]:
         tower._grow_chain(ell, search_budget)
     L = tower.node_for(levels, budget=search_budget)
-    L.parent = K
     L.registry()
     return L
 
@@ -726,7 +493,7 @@ def subfield_property_check(K: NumberFieldNode
     every divisor of the degree."""
     missing: List[int] = []
     reg = K.registry()
-    gmod = uq(K.defining_poly)
+    gmod = up(QQ, K.defining_poly)
     for d in _divisors(K.degree):
         entry = reg.get(d)
         if entry is None:
@@ -734,7 +501,7 @@ def subfield_property_check(K: NumberFieldNode
             continue
         sub, w = entry
         if sub.degree != d or \
-                uq_compose_mod(uq(sub.defining_poly), w, gmod):
+                up_compose_mod(QQ, up(QQ, sub.defining_poly), w, gmod):
             missing.append(d)
     return (not missing), missing
 

@@ -13,8 +13,8 @@ import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (GREVLEX, MonomialOrder, Polynomial, PolynomialError,
-                   exp_div, exp_divides, exp_lcm, exp_mul, exact_divide)
+from .poly import (GREVLEX, MonomialOrder, Polynomial, exp_div, exp_divides,
+                   exp_lcm, exp_mul, exact_divide)
 from .rings import CoefficientRing
 
 DEFAULT_MAX_PAIRS = 10 ** 6

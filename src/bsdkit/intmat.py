@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms.
+"""Exact integer linear algebra: Hermite and Smith normal forms, and
+fraction-free elimination for rank and determinant.
 
 Matrices are lists of rows of Python ints.  All transforms returned are
 unimodular, so every identity below holds exactly over ZZ.
@@ -293,3 +294,35 @@ def solve_integer(A: Matrix, v: List[int]) -> Optional[List[int]]:
     """An integer solution x of A·x = v, or None if none exists."""
     X = solve_integer_matrix(A, [[x] for x in v])
     return None if X is None else [row[0] for row in X]
+
+
+def rank_det(M: Matrix) -> Tuple[int, int]:
+    """Rank over QQ and determinant of an integer matrix, by fraction-free
+    (Bareiss) elimination.  The determinant is 0 unless M is square of
+    full rank (1 for the empty matrix).
+
+    After k pivots each entry left below and right of them is, up to sign,
+    a (k+1)-minor of M, so dividing each update by the previous pivot is
+    exact (Sylvester's identity) and all arithmetic stays in ZZ.  Entries
+    in the pivot column and left of it are never read again, so each
+    update touches only the columns right of the pivot.
+    """
+    A = [list(row) for row in M]
+    rows, cols = len(A), len(A[0]) if A else 0
+    rank, prev, sign = 0, 1, 1
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if A[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            A[rank], A[piv] = A[piv], A[rank]
+            sign = -sign
+        p, top = A[rank][c], A[rank][c + 1:]
+        for r in range(rank + 1, rows):
+            row = A[r]
+            a = row[c]
+            row[c + 1:] = [(p * x - a * y) // prev
+                           for x, y in zip(row[c + 1:], top)]
+        prev = p
+        rank += 1
+    return rank, (sign * prev if rank == rows == cols else 0)

@@ -11,22 +11,24 @@ the pole/vanishing adjustment loops, and Omega = m_real * W * P.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import GREVLEX, Polynomial, PolynomialError, poly_gcd, exact_divide
-from .rings import ZZ, CoefficientRing
+from .poly import Polynomial, poly_gcd, exact_divide
+from .rings import CoefficientRing
 from .vanishing import (ComponentLocus, FunctionVanishesOnCurve,
-                        VanishingError, multiplicity_of_component,
-                        rational_function_order, vanishing_order)
+                        multiplicity_of_component, rational_function_order)
 
 DEFAULT_TOL = 1e-9
 
 
 class PeriodError(ValueError):
     pass
+
+
+class RepeatedPrimeError(ValueError):
+    """Two models for one prime: W would count W_p twice."""
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +526,22 @@ def real_period(P: float, W: Fraction, m_real: int) -> float:
 
 
 def period_pipeline(matrix: BigPeriodMatrix,
-                    models: Sequence[PrimeModel],
+                    models: Iterable[PrimeModel],
                     diffs_per_prime: Dict[int, Sequence[DifferentialRep]],
                     m_real: int,
                     tol: float = DEFAULT_TOL) -> PeriodResult:
+    """Covolumes, lattice generator P, W = prod W_p and Omega.
+
+    models is read once, after P is found, and diffs_per_prime[model.p] is
+    looked up as each model arrives, so a caller may load both lazily.
+    """
     covs = covolumes(matrix)
     gen = lattice_generator([v for _, v in covs], tol=tol)
     per_prime: Dict[int, AdjustResult] = {}
     W = Fraction(1)
     for model in models:
+        if model.p in per_prime:
+            raise RepeatedPrimeError(f"two models for p = {model.p}")
         res = neron_basis_adjust(model, diffs_per_prime[model.p])
         per_prime[model.p] = res
         W *= res.W_p

@@ -9,7 +9,7 @@ from __future__ import annotations
 from operator import add as _op_add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rings import CoefficientRing, RingError
+from .rings import CoefficientRing, up_gcd
 
 MAX_EXPONENT = 1 << 16
 
@@ -265,16 +265,6 @@ class Polynomial:
             y = ring.mul(x, c)
             if not ring.is_zero(y):
                 terms[e] = y
-        return Polynomial(ring, self.variables, terms, self.order)
-
-    def mul_term(self, e0, c) -> "Polynomial":
-        ring = self.ring
-        c = ring.coerce(c)
-        terms = {}
-        for e, x in self.terms.items():
-            y = ring.mul(x, c)
-            if not ring.is_zero(y):
-                terms[exp_mul(e, e0)] = y
         return Polynomial(ring, self.variables, terms, self.order)
 
     def __eq__(self, other):
@@ -612,7 +602,8 @@ def _normalize_gcd(g: Polynomial) -> Polynomial:
     return g
 
 
-_PROBE_PRIME = (1 << 61) - 1   # Mersenne prime, for gcd triviality probes
+# GF(2^61 - 1), a Mersenne prime field, for gcd triviality probes
+_PROBE_FIELD = CoefficientRing.GF((1 << 61) - 1)
 
 
 def _probe_eval(f: Polynomial, i: int, vals: Dict[int, int], q: int):
@@ -646,18 +637,17 @@ def _gcd_probe_trivial(f: Polynomial, g: Polynomial,
     """
     import random as _random
 
-    from .rings import fp_gcd, fp_trim
-    q = _PROBE_PRIME
+    F = _PROBE_FIELD
     rng = _random.Random(0x5eed)
     for i in used:
         proven = False
         for _ in range(4):
             vals = {j: rng.randrange(1, 1 << 30) for j in used if j != i}
-            uf = _probe_eval(f, i, vals, q)
-            ug = _probe_eval(g, i, vals, q)
+            uf = _probe_eval(f, i, vals, F.p)
+            ug = _probe_eval(g, i, vals, F.p)
             if uf is None or ug is None:
                 continue
-            if len(fp_gcd(fp_trim(uf, q), fp_trim(ug, q), q)) == 1:
+            if len(up_gcd(F, uf, ug)) == 1:
                 proven = True
                 break
         if not proven:

@@ -1,15 +1,17 @@
-"""Coefficient rings: ZZ, ZZ/p^e, GF(p) and GF(p^k).
+"""Coefficient rings: ZZ, QQ, ZZ/p^e, GF(p) and GF(p^k), and dense
+univariate polynomials over any of them.
 
-Elements are plain Python ints for ZZ, ZZ/p^e and GF(p), and tuples of
-ints (coefficients of the generator polynomial, low degree first) for
-GF(p^k).  Rings are immutable and hashable; all element operations are
-pure functions on the ring object.
+Elements are plain Python ints for ZZ, ZZ/p^e and GF(p), Fractions for
+QQ, and tuples of ints (coefficients of the generator polynomial, low
+degree first) for GF(p^k).  Rings are immutable and hashable; all element
+operations are pure functions on the ring object.  QQ serves the
+univariate layer only (number-field towers); the Groebner code rejects it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Optional, Sequence, Tuple
 
 
 class RingError(ValueError):
@@ -20,11 +22,21 @@ class RingError(ValueError):
 # primality
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MORE_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# Sorenson & Webster (2015): bases 2..41 are a deterministic witness set
+# below this bound
+_DETERMINISTIC_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic below 3.3 * 10^24, error < 2^-64 above."""
+    """Miller-Rabin with prime bases.
+
+    Exact below 3,317,044,064,679,887,385,961,981 (bases 2..41).  At and
+    above that bound n must also pass the bases 43..97; composites that
+    are strong pseudoprimes to every such fixed base exist (Arnault 1995),
+    so there True means "strong probable prime", not a proof.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -34,8 +46,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # these bases are a deterministic witness set for n < 3.3 * 10^24
-    bases = _SMALL_PRIMES if n < 3317044064679887385961981 else _SMALL_PRIMES * 3
+    bases = _SMALL_PRIMES
+    if n >= _DETERMINISTIC_BELOW:
+        bases += _MORE_BASES
     for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -49,109 +62,155 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def factorize(n: int) -> Dict[int, int]:
+    """Prime -> exponent for n >= 1, by trial division."""
+    out: Dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
-# univariate polynomials over GF(p), used for GF(p^k) moduli and in the
-# field-tower code.  Polynomials are tuples of ints in [0, p), low degree
-# first, with no trailing zeros.
+# dense univariate polynomials over a ring R: tuples of elements of R, low
+# degree first, with no trailing zeros.  Zero is the only falsy element of
+# every ring kind, so `if c` tests c != 0.  Division needs a unit as the
+# divisor's leading coefficient.
 
 
-def fp_trim(c: Sequence[int], p: int) -> Tuple[int, ...]:
-    c = [x % p for x in c]
-    while c and c[-1] == 0:
+def up(R, coeffs):
+    """The polynomial with the given coefficients, coerced into R."""
+    return up_trim(R, [R.coerce(c) for c in coeffs])
+
+
+def up_trim(R, c):
+    c = list(c)
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return fp_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(n)], p)
+def up_add(R, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    add = R.add
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = add(out[i], y)
+    return up_trim(R, out)
 
 
-def fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return fp_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                    for i in range(n)], p)
+def up_sub(R, a, b):
+    sub = R.sub
+    out = list(a) + [R.zero()] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = sub(out[i], y)
+    return up_trim(R, out)
 
 
-def fp_mul(a, b, p):
+def up_scale(R, a, c):
+    mul = R.mul
+    return up_trim(R, [mul(c, x) for x in a])
+
+
+def up_mul(R, a, b):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    add, mul = R.add, R.mul
+    out = [R.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
-    return fp_trim(out, p)
+                out[i + j] = add(out[i + j], mul(x, y))
+    return up_trim(R, out)
 
 
-def fp_divmod(a, b, p):
+def up_divmod(R, a, b):
+    """(q, r) with a = q*b + r and deg r < deg b."""
     if not b:
-        raise ZeroDivisionError("division by zero polynomial")
+        raise ZeroDivisionError("division by the zero polynomial")
+    sub, mul = R.sub, R.mul
     a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
+    n = len(b) - 1
+    inv = R.inv(b[-1])
+    q = [R.zero()] * max(0, len(a) - n)
+    while len(a) > n:
+        c = a.pop()
+        if not c:
             continue
-        d = len(a) - len(b)
-        c = a[-1] * binv % p
+        c = mul(c, inv)
+        d = len(a) - n
         q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = (a[d + i] - c * y) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return fp_trim(q, p), fp_trim(a, p)
+        # the leading term cancels exactly; it was popped above
+        for i in range(n):
+            a[d + i] = sub(a[d + i], mul(c, b[i]))
+    return up_trim(R, q), up_trim(R, a)
 
 
-def fp_mod(a, b, p):
-    return fp_divmod(a, b, p)[1]
+def up_mod(R, a, b):
+    return up_divmod(R, a, b)[1]
 
 
-def fp_gcd(a, b, p):
+def up_gcd(R, a, b):
+    """Monic gcd over a field (the zero polynomial if a = b = 0)."""
     while b:
-        a, b = b, fp_mod(a, b, p)
+        a, b = b, up_mod(R, a, b)
     if a:
-        inv = pow(a[-1], -1, p)
-        a = fp_trim([x * inv for x in a], p)
+        a = up_scale(R, a, R.inv(a[-1]))
     return a
 
 
-def fp_powmod(a, n: int, mod, p):
-    result = (1,)
-    a = fp_mod(a, mod, p)
+def up_powmod(R, a, n: int, mod):
+    result = (R.one(),)
+    a = up_mod(R, a, mod)
     while n:
         if n & 1:
-            result = fp_mod(fp_mul(result, a, p), mod, p)
-        a = fp_mod(fp_mul(a, a, p), mod, p)
+            result = up_mod(R, up_mul(R, result, a), mod)
         n >>= 1
+        if n:
+            a = up_mod(R, up_mul(R, a, a), mod)
     return result
 
 
-def fp_is_squarefree(f, p) -> bool:
-    deriv = fp_trim([i * f[i] for i in range(1, len(f))], p)
-    if not deriv:
-        return False
-    return fp_gcd(f, deriv, p) == (1,)
+def up_compose_mod(R, a, b, mod):
+    """a(b) reduced modulo mod, by Horner."""
+    acc = ()
+    for c in reversed(a):
+        acc = up_mod(R, up_add(R, up_mul(R, acc, b), (c,)), mod)
+    return acc
 
 
-def fp_is_irreducible(f, p) -> bool:
-    """Irreducibility over GF(p) via the x^(p^d) - x ladder."""
+def up_is_squarefree(R, f) -> bool:
+    deriv = up_trim(R, [R.mul_int(f[i], i) for i in range(1, len(f))])
+    return bool(deriv) and up_gcd(R, f, deriv) == (R.one(),)
+
+
+def up_is_irreducible(R, f) -> bool:
+    """Irreducibility over the finite field R with q = p^k elements, via
+    the x^(q^d) - x ladder (Rabin): f of degree n is irreducible iff
+    x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.
+    The powers x^(q^d) are built one q-th power at a time, so the rungs
+    share their work."""
     n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    x = (0, 1)
-    # x^(p^n) == x mod f
-    if fp_powmod(x, p ** n, f, p) != fp_mod(x, f, p):
+    q = R.p ** (R.k or 1)
+    x = (R.zero(), R.one())
+    frob = [x]                          # frob[d] = x^(q^d) mod f
+    for _ in range(n):
+        frob.append(up_powmod(R, frob[-1], q, f))
+    if frob[n] != x:
         return False
-    for q in sorted({d for d in range(2, n + 1) if n % d == 0 and is_prime(d)}):
-        h = fp_sub(fp_powmod(x, p ** (n // q), f, p), x, p)
-        if fp_gcd(h, f, p) != (1,):
-            return False
-    return True
+    one = (R.one(),)
+    return all(up_gcd(R, up_sub(R, frob[n // r], x), f) == one
+               for r in factorize(n))
 
 
 def find_irreducible(p: int, k: int) -> Tuple[int, ...]:
@@ -159,10 +218,11 @@ def find_irreducible(p: int, k: int) -> Tuple[int, ...]:
     vectors (c_0, ..., c_{k-1}) in ascending lexicographic order."""
     if k == 1:
         return (0, 1)
+    F = CoefficientRing.GF(p)
     coeffs = [0] * k
     while True:
         f = tuple(coeffs) + (1,)
-        if fp_is_irreducible(f, p):
+        if up_is_irreducible(F, f):
             return f
         i = 0
         while i < k and coeffs[i] == p - 1:
@@ -178,12 +238,13 @@ def find_irreducible(p: int, k: int) -> Tuple[int, ...]:
 
 
 class CoefficientRing:
-    """One of ZZ, ZZ/p^e, GF(p), GF(p^k).
+    """One of ZZ, QQ, ZZ/p^e, GF(p), GF(p^k).
 
-    kind is "ZZ", "Zmod", "GF" or "GFext".
+    kind is "ZZ", "QQ", "Zmod", "GF" or "GFext".  A GF(p^k) ring keeps its
+    prime field GF(p) as prime_field.
     """
 
-    __slots__ = ("kind", "p", "e", "k", "modulus", "m")
+    __slots__ = ("kind", "p", "e", "k", "modulus", "m", "prime_field")
 
     def __init__(self, kind, p=None, e=None, k=None, modulus=None):
         self.kind = kind
@@ -192,12 +253,18 @@ class CoefficientRing:
         self.k = k
         self.modulus = modulus
         self.m = p ** e if kind == "Zmod" else None
+        self.prime_field = (CoefficientRing("GF", p=p, e=1, k=1)
+                            if kind == "GFext" else None)
 
     # -- constructors
 
     @staticmethod
     def ZZ() -> "CoefficientRing":
         return CoefficientRing("ZZ")
+
+    @staticmethod
+    def QQ() -> "CoefficientRing":
+        return CoefficientRing("QQ")
 
     @staticmethod
     def Zmod(p: int, e: int) -> "CoefficientRing":
@@ -213,21 +280,22 @@ class CoefficientRing:
     def GF(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
+        F = CoefficientRing("GF", p=p, e=1, k=1)
         if k == 1:
-            return CoefficientRing("GF", p=p, e=1, k=1)
+            return F
         if modulus is None:
             modulus = find_irreducible(p, k)
-        modulus = fp_trim(modulus, p)
+        modulus = up(F, modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise RingError("modulus must be monic of degree k")
-        if not fp_is_irreducible(modulus, p):
+        if not up_is_irreducible(F, modulus):
             raise RingError("modulus is not irreducible over GF(p)")
         return CoefficientRing("GFext", p=p, e=1, k=k, modulus=modulus)
 
     # -- structure
 
     def is_field(self) -> bool:
-        return self.kind in ("GF", "GFext")
+        return self.kind in ("QQ", "GF", "GFext")
 
     def __eq__(self, other):
         return (isinstance(other, CoefficientRing)
@@ -239,8 +307,8 @@ class CoefficientRing:
         return hash((self.kind, self.p, self.e, self.k, self.modulus))
 
     def __repr__(self):
-        if self.kind == "ZZ":
-            return "ZZ"
+        if self.kind in ("ZZ", "QQ"):
+            return self.kind
         if self.kind == "Zmod":
             return f"ZZ/{self.p}^{self.e}"
         if self.kind == "GF":
@@ -252,48 +320,53 @@ class CoefficientRing:
     def coerce(self, x):
         if self.kind == "ZZ":
             return int(x)
+        if self.kind == "QQ":
+            return Fraction(x)
         if self.kind in ("Zmod", "GF"):
             mod = self.m if self.kind == "Zmod" else self.p
             return int(x) % mod
-        if isinstance(x, tuple):
-            return fp_trim(x, self.p)
-        return fp_trim((int(x),), self.p)
+        return up(self.prime_field, x if isinstance(x, tuple) else (x,))
 
     def zero(self):
+        if self.kind == "QQ":
+            return Fraction(0)
         return () if self.kind == "GFext" else 0
 
     def one(self):
+        if self.kind == "QQ":
+            return Fraction(1)
         return (1,) if self.kind == "GFext" else 1
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
     def add(self, a, b):
-        if self.kind == "ZZ":
+        if self.kind == "ZZ" or self.kind == "QQ":
             return a + b
         if self.kind == "GFext":
-            return fp_add(a, b, self.p)
+            return up_add(self.prime_field, a, b)
         return (a + b) % (self.m or self.p)
 
     def sub(self, a, b):
-        if self.kind == "ZZ":
+        if self.kind == "ZZ" or self.kind == "QQ":
             return a - b
         if self.kind == "GFext":
-            return fp_sub(a, b, self.p)
+            return up_sub(self.prime_field, a, b)
         return (a - b) % (self.m or self.p)
 
     def neg(self, a):
-        if self.kind == "ZZ":
+        if self.kind == "ZZ" or self.kind == "QQ":
             return -a
         if self.kind == "GFext":
-            return fp_trim([-x for x in a], self.p)
+            return up_sub(self.prime_field, (), a)
         return (-a) % (self.m or self.p)
 
     def mul(self, a, b):
-        if self.kind == "ZZ":
+        if self.kind == "ZZ" or self.kind == "QQ":
             return a * b
         if self.kind == "GFext":
-            return fp_mod(fp_mul(a, b, self.p), self.modulus, self.p)
+            F = self.prime_field
+            return up_mod(F, up_mul(F, a, b), self.modulus)
         return (a * b) % (self.m or self.p)
 
     def mul_int(self, a, n: int):
@@ -313,17 +386,19 @@ class CoefficientRing:
             raise RingError(f"{a!r} is not a unit in {self!r}")
         if self.kind == "ZZ":
             return a
+        if self.kind == "QQ":
+            return Fraction(1) / a      # a Fraction also when a is an int
         if self.kind in ("Zmod", "GF"):
             return pow(a, -1, self.m or self.p)
         # extended euclid in GF(p)[t]
+        F = self.prime_field
         r0, r1 = self.modulus, a
         s0, s1 = (), (1,)
         while r1:
-            q, r = fp_divmod(r0, r1, self.p)
+            q, r = up_divmod(F, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, self.p), self.p)
-        c = pow(r0[-1], -1, self.p)
-        return fp_mod(fp_trim([c * x for x in s0], self.p), self.modulus, self.p)
+            s0, s1 = s1, up_sub(F, s0, up_mul(F, q, s1))
+        return up_mod(F, up_scale(F, s0, F.inv(r0[-1])), self.modulus)
 
     def unit_val(self, a):
         """Split a nonzero element as unit * p^v (ZZ: sign * |a|, v unused).
@@ -390,3 +465,4 @@ class CoefficientRing:
 
 
 ZZ = CoefficientRing.ZZ()
+QQ = CoefficientRing.QQ()

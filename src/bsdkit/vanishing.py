@@ -11,12 +11,11 @@ already vanish to higher order, which keeps the bases much smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from .groebner import (Ideal, ideal_contained_in, ideal_membership,
-                       ideal_quotient, ideal_sum, ideal_sum_product,
-                       normal_form)
-from .poly import Polynomial, PolynomialError
+from .groebner import (Ideal, ideal_membership, ideal_quotient, ideal_sum,
+                       ideal_sum_product)
+from .poly import Polynomial
 from .rings import CoefficientRing
 
 DEFAULT_ORDER_BUDGET = 64

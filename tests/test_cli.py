@@ -155,6 +155,13 @@ class TestPeriod:
                            "--matrix-file", fixture_path("matrix_g2.json"))
         assert code == 2 and out == ""
 
+    def test_repeated_prime_exit2(self, capsys):
+        scaled = fixture_path("genus2_p2_scaled.json")
+        code, out, err = run(capsys, "period", scaled, scaled,
+                             "--matrix-file", fixture_path("matrix_g2.json"))
+        assert code == 2 and out == ""
+        assert "p = 2" in err
+
 
 # ---------------------------------------------------------------------------
 # gb
@@ -181,6 +188,13 @@ class TestGb:
     def test_bad_ring_exit2(self, capsys):
         code, _, _ = run(capsys, "gb", "--vars", "x", "--ring", "Z/6", "x")
         assert code == 2
+
+    def test_strong_pseudoprime_ring_exit2(self, capsys):
+        # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+        code, out, err = run(capsys, "gb", "x^2+1", "--vars", "x", "--ring",
+                             "Z/318665857834031151167461^2")
+        assert code == 2 and out == ""
+        assert "not prime" in err
 
     def test_parse_error_exit2(self, capsys):
         code, out, _ = run(capsys, "gb", "--vars", "x", "--ring", "ZZ",

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from bsdkit.compgroup import (Component, FibreError, OrbitCluster,
                               SpecialFibre, _kernel_coordinates,
-                              _rational_rank, assemble_fibre,
+                              assemble_fibre,
                               brute_force_component_group, component_group,
                               expand_orbit, fixed_point_count,
                               tamagawa_number, validate_fibre)
 from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            inverse_unimodular, kernel_basis, mat_mul,
-                           smith_normal_form, solve_integer,
+                           rank_det, smith_normal_form, solve_integer,
                            solve_integer_matrix)
 
 
@@ -286,10 +286,45 @@ def test_rational_rank_matches_fraction_elimination():
             L = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
             R = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
             A = mat_mul(L, R)
-        assert _rational_rank(A) == _fraction_rank(A), A
+        assert rank_det(A)[0] == _fraction_rank(A), A
     n, edges, _ = theta_edges(5, 5, 4)
     M = graph_fibre(n, edges, list(range(n)), shuffled(n, 1)).intersections
-    assert _rational_rank(M) == _fraction_rank(M) == n - 1
+    assert rank_det(M)[0] == _fraction_rank(M) == n - 1
+
+
+def _fraction_det(M):
+    A = [[Fraction(x) for x in row] for row in M]
+    n, det = len(A), Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if A[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            f = A[r][c] / A[c][c]
+            A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return det
+
+
+def test_rank_det_determinant_matches_fraction_elimination():
+    rng = random.Random(12)
+    assert rank_det([]) == (0, 1)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        A = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # a row twice another makes A singular
+            i, j = rng.sample(range(n), 2)
+            A[i] = [2 * x for x in A[j]]
+        assert rank_det(A)[1] == _fraction_det(A), A
+    # zero leading entries force row swaps
+    A = [[0, 0, 3], [0, 2, 1], [5, 1, 1]]
+    assert rank_det(A) == (3, _fraction_det(A)) == (3, -30)
+    # a non-square matrix has no determinant
+    assert rank_det([[1, 2, 3], [4, 5, 6]]) == (2, 0)
 
 
 # ---------------------------------------------------------------------------

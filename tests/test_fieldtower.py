@@ -1,12 +1,18 @@
 """fieldtower module: inert towers, subfield registry, discriminant
 descent, resultants."""
 
+from functools import partial
+
 import pytest
 
 from bsdkit.fieldtower import (FieldTower, FieldTowerError, discriminant,
                                extend_inert, is_inert,
                                optimise_discriminant, resultant,
-                               subfield_property_check, uq, uq_compose_mod)
+                               subfield_property_check)
+from bsdkit.rings import QQ, up, up_compose_mod
+
+uq = partial(up, QQ)
+uq_compose_mod = partial(up_compose_mod, QQ)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from bsdkit.modelfile import load_model, parse_prime_model
 from bsdkit.periods import (BigPeriodMatrix, DifferentialRep, PeriodError,
-                            convert_differential, covolumes,
+                            RepeatedPrimeError, convert_differential, covolumes,
                             differential_order_on_component,
                             lattice_generator, neron_basis_adjust,
                             period_pipeline, real_period, vanishing_subspace)
@@ -292,3 +292,10 @@ class TestRealPeriod:
         assert scaled.omega == pytest.approx(base.omega, rel=1e-9)
         assert scaled.W == base.W / 4
         assert scaled.P == pytest.approx(base.P * 4)
+
+    def test_pipeline_rejects_repeated_prime(self):
+        model, diffs = genus2_model()
+        M = BigPeriodMatrix(2, [[1.0 + 0j, 0j], [0j, 1.0 + 0j],
+                                [0.5 + 1j, 0.25 + 2j], [0.125 + 3j, 0.75 + 4j]])
+        with pytest.raises(RepeatedPrimeError, match="p = 2"):
+            period_pipeline(M, [model, model], {2: diffs}, m_real=2)

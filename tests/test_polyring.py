@@ -213,6 +213,16 @@ def test_is_prime_small():
                                                   range(2, n)))
 
 
+def test_is_prime_rejects_strong_pseudoprimes_to_small_bases():
+    # strong pseudoprimes to the prime bases 2..37 and 2..41 respectively
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
+    for e in (61, 89, 127):
+        assert is_prime(2 ** e - 1)
+
+
 def test_finite_field_modulus_checked():
     with pytest.raises(RingError):
         CoefficientRing.GF(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2
