@@ -71,8 +71,8 @@ def cmd_tamagawa(args) -> int:
 
 def cmd_vanishing_order(args) -> int:
     doc = load_model(args.model)
-    locus = component_locus(doc, args.component)
     patches = parse_patches(doc)
+    locus = component_locus(doc, args.component, patches)
     blk = doc["special_fibre"]
     comp = next(c for c in blk["components"] if c["id"] == args.component)
     patch = patches[comp["patch"]]
@@ -116,6 +116,16 @@ def cmd_period(args) -> int:
     })
 
 
+def _integer_root(m: int, e: int) -> int:
+    """The largest r with r**e <= m, for m >= 1 (Newton from above)."""
+    r = 1 << -(-m.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + m // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _parse_ring(spec: str) -> CoefficientRing:
     s = spec.strip().replace(" ", "")
     if s in ("ZZ", "Z"):
@@ -127,15 +137,11 @@ def _parse_ring(spec: str) -> CoefficientRing:
             p, e = int(p_str), int(e_str)
         else:
             m = int(body)
-            p = next((q for q in range(2, m + 1)
-                      if m % q == 0 and is_prime(q)), None)
+            roots = ((_integer_root(m, e), e)
+                     for e in range(1, max(m, 0).bit_length() + 1))
+            p, e = next(((r, e) for r, e in roots
+                         if r ** e == m and is_prime(r)), (None, None))
             if p is None:
-                raise CliSchemaError(f"bad modulus in ring spec {spec!r}")
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
                 raise CliSchemaError(
                     f"ring spec {spec!r} is not a prime power")
         return CoefficientRing.Zmod(p, e)

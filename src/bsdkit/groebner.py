@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import (GREVLEX, MonomialOrder, Polynomial, exp_div, exp_divides,
                    exp_lcm, exp_mul, exact_divide)
-from .rings import CoefficientRing
+from .rings import CoefficientRing, xgcd
 
 DEFAULT_MAX_PAIRS = 10 ** 6
 DEFAULT_MAX_DEGREE = 400
@@ -312,18 +312,6 @@ def _reduce(ring, order: MonomialOrder, work_terms: dict, basis,
 # Buchberger completion
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _scale_shift(ring, terms, c, delta):
     out = {}
     for e, x in terms.items():
@@ -511,7 +499,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             _add_into(ring, scof, _scale_shift(ring, g.cof, cg, dg), sign=-1)
         consider(s, scof)
         if is_zz and f.lc % g.lc != 0 and g.lc % f.lc != 0:
-            d, u, v = _xgcd(f.lc, g.lc)
+            _, u, v = xgcd(f.lc, g.lc)
             t = _scale_shift(ring, f.terms, u, df)
             _add_into(ring, t, _scale_shift(ring, g.terms, v, dg))
             tcof = None

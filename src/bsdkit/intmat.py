@@ -7,8 +7,9 @@ unimodular, so every identity below holds exactly over ZZ.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Optional, Tuple
+
+from .rings import xgcd
 
 Matrix = List[List[int]]
 
@@ -78,9 +79,8 @@ def hermite_normal_form(A: Matrix) -> Tuple[Matrix, Matrix]:
             if not H[row_i][j]:
                 continue
             a, b = H[row_i][pivot], H[row_i][j]
-            g = gcd(a, b)
             # unimodular 2-column transform sending (a, b) -> (g, 0)
-            x, y = _bezout(a, b)
+            g, x, y = xgcd(a, b)
             _combine_cols((H, V), pivot, j, x, y, -(b // g), a // g)
         if pivot != col:
             _swap_cols(H, pivot, col)
@@ -98,21 +98,6 @@ def hermite_normal_form(A: Matrix) -> Tuple[Matrix, Matrix]:
                 _addmul_col(V, j, col, -q)
         col += 1
     return H, V
-
-
-def _bezout(a: int, b: int) -> Tuple[int, int]:
-    """x, y with x*a + y*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def _combine_cols(mats, i, j, a, b, c, d):
@@ -183,8 +168,7 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
             for i in range(t + 1, n):
                 a, b = D[t][t], D[i][t]
                 if b % a:
-                    x, y = _bezout(a, b)
-                    g = gcd(a, b)
+                    g, x, y = xgcd(a, b)
                     rt, ri = D[t], D[i]
                     ut, ui = U[t], U[i]
                     D[t] = [x * p + y * q for p, q in zip(rt, ri)]
@@ -199,8 +183,7 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
             for j in range(t + 1, m):
                 a, b = D[t][t], D[t][j]
                 if b % a:
-                    x, y = _bezout(a, b)
-                    g = gcd(a, b)
+                    g, x, y = xgcd(a, b)
                     _combine_cols((D, V), t, j, x, y, -(b // g), a // g)
                     improved = True
             if improved:

@@ -1,10 +1,16 @@
-"""JSON model files: schema validation and conversion to domain objects.
+"""JSON model files: shape checks and conversion to domain objects.
 
 One file describes one prime's regular-model data: patches with their
 equations, the combinatorial special fibre, per-component charts with
 sample points, the differential basis, and optionally the period matrix
 and the number of real components.  Reals and complexes are carried as
 decimal strings to keep files implementation-independent.
+
+Each file kind has one shape literal (``MODEL_SHAPE``, ``MATRIX_SHAPE``),
+and loading checks the document against it with the standard library only:
+the first value off its shape raises ``SchemaError`` naming its JSON path,
+e.g. ``model file F.special_fibre.components[3].multiplicity must be an
+integer >= 1``.  The parsers then check cross-references between blocks.
 """
 
 from __future__ import annotations
@@ -12,9 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .compgroup import Component, SpecialFibre
 from .groebner import Ideal
@@ -33,148 +36,103 @@ class ModelMathError(ValueError):
     """Well-formed input that fails a mathematical validation."""
 
 
-_POINT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "field_degree": {"type": "integer", "minimum": 1},
-        "modulus": {"type": "array", "items": {"type": "integer"}},
-        "coords": {
-            "type": "object",
-            "additionalProperties": {
-                "anyOf": [{"type": "integer"},
-                          {"type": "array", "items": {"type": "integer"}}]
-            },
-        },
+# A shape is what the check below accepts:
+#   str, int            a JSON string, integer (never a bool or a float)
+#   n (an int)          an integer >= n
+#   {"a", "b"}          one of these strings
+#   [s], [s, lo, hi]    a list of s, with lo..hi items if given
+#   (s, [t])            s, or a list of t if the value is a list
+#   {str: s}            an object mapping any key to s
+#   {"k": s, "o?": t}   an object with key k, optional key o, no other keys
+_PERIOD_MATRIX = [[[str, 2, 2]]]
+
+MODEL_SHAPE = {
+    "p": 2,
+    "genus?": 1,
+    "patches?": [{"id": str, "variables": [str, 1], "equations": [str]}],
+    "special_fibre": {
+        "components": [{"id": str, "patch?": str, "prime_ideal?": [str],
+                        "multiplicity": 1}, 1],
+        "intersections": [[int]],
+        "frobenius": {str: str},
     },
-    "required": ["coords"],
-    "additionalProperties": False,
+    "charts?": [{
+        "component": str,
+        "generator_numerator": str,
+        "generator_denominator": str,
+        "sample_points?": [{"field_degree?": 1, "modulus?": [int],
+                            "coords": {str: (int, [int])}}],
+    }],
+    "differentials?": [{"patch": str, "numerator": str, "denominator": str,
+                        "base?": {"dx", "dy", "dz"}}],
+    "period_matrix?": _PERIOD_MATRIX,
+    "real_components?": 1,
 }
 
-MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer", "minimum": 2},
-        "genus": {"type": "integer", "minimum": 1},
-        "patches": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": {"type": "string"},
-                    "variables": {"type": "array",
-                                  "items": {"type": "string"},
-                                  "minItems": 1},
-                    "equations": {"type": "array",
-                                  "items": {"type": "string"}},
-                },
-                "required": ["id", "variables", "equations"],
-                "additionalProperties": False,
-            },
-        },
-        "special_fibre": {
-            "type": "object",
-            "properties": {
-                "components": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "id": {"type": "string"},
-                            "patch": {"type": "string"},
-                            "prime_ideal": {"type": "array",
-                                            "items": {"type": "string"}},
-                            "multiplicity": {"type": "integer",
-                                             "minimum": 1},
-                        },
-                        "required": ["id", "multiplicity"],
-                        "additionalProperties": False,
-                    },
-                },
-                "intersections": {
-                    "type": "array",
-                    "items": {"type": "array",
-                              "items": {"type": "integer"}},
-                },
-                "frobenius": {
-                    "type": "object",
-                    "additionalProperties": {"type": "string"},
-                },
-            },
-            "required": ["components", "intersections", "frobenius"],
-            "additionalProperties": False,
-        },
-        "charts": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "component": {"type": "string"},
-                    "generator_numerator": {"type": "string"},
-                    "generator_denominator": {"type": "string"},
-                    "sample_points": {"type": "array",
-                                      "items": _POINT_SCHEMA},
-                },
-                "required": ["component", "generator_numerator",
-                             "generator_denominator"],
-                "additionalProperties": False,
-            },
-        },
-        "differentials": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "patch": {"type": "string"},
-                    "numerator": {"type": "string"},
-                    "denominator": {"type": "string"},
-                    "base": {"type": "string",
-                             "enum": ["dx", "dy", "dz"]},
-                },
-                "required": ["patch", "numerator", "denominator"],
-                "additionalProperties": False,
-            },
-        },
-        "period_matrix": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "string"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-            },
-        },
-        "real_components": {"type": "integer", "minimum": 1},
-    },
-    "required": ["p", "special_fibre"],
-    "additionalProperties": False,
-}
+MATRIX_SHAPE = {"genus": 1, "period_matrix": _PERIOD_MATRIX,
+                "real_components": 1}
 
 
-# validators built once: jsonschema.validate checks the schema against its
-# metaschema again on every call, at many times the cost of the validation
-_MODEL_VALIDATOR = validator_for(MODEL_SCHEMA)(MODEL_SCHEMA)
+def _check(value, shape, where: str) -> None:
+    """SchemaError naming the JSON path of the first value off its shape."""
+    if isinstance(shape, tuple):
+        shape = shape[type(value) is list]
+    if shape is str:
+        if type(value) is not str:
+            raise SchemaError(f"{where} must be a string")
+    elif shape is int or type(shape) is int:
+        if type(value) is not int or shape is not int and value < shape:
+            bound = "" if shape is int else f" >= {shape}"
+            raise SchemaError(f"{where} must be an integer{bound}")
+    elif isinstance(shape, set):
+        if type(value) is not str or value not in shape:
+            raise SchemaError(f"{where} must be one of "
+                              f"{', '.join(sorted(shape))}")
+    elif isinstance(shape, list):
+        item, lo, hi = (shape + [None, None])[:3]
+        if type(value) is not list:
+            raise SchemaError(f"{where} must be a list")
+        if len(value) < (lo or 0) or hi is not None and len(value) > hi:
+            length = f">= {lo}" if hi is None else (
+                lo if lo == hi else f"{lo}..{hi}")
+            raise SchemaError(f"{where} must have length {length}")
+        if item in (int, str) and all(type(x) is item for x in value):
+            return                      # the common case, without paths
+        for i, x in enumerate(value):
+            _check(x, item, f"{where}[{i}]")
+    elif type(value) is not dict:
+        raise SchemaError(f"{where} must be an object")
+    elif str in shape:
+        for key, x in value.items():
+            _check(x, shape[str], f"{where}.{key}")
+    else:
+        keys = {k.rstrip("?"): k for k in shape}
+        for key in value:
+            if key not in keys:
+                raise SchemaError(f"{where}.{key} is not a known key")
+        for key, k in keys.items():
+            if key in value:
+                _check(value[key], shape[k], f"{where}.{key}")
+            elif k == key:
+                raise SchemaError(f"{where}.{key} is missing")
 
 
-def _validate(validator, doc, kind: str, path: str):
-    """SchemaError with the message jsonschema.validate would give."""
-    error = best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise SchemaError(f"{kind} file {path} fails schema validation: "
-                          f"{error.message}")
-
-
-def load_model(path: str) -> dict:
+def _load(path: str, kind: str, shape) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}")
-    _validate(_MODEL_VALIDATOR, doc, "model", path)
+        raise SchemaError(f"cannot read {kind} file {path}: {exc}")
+    _check(doc, shape, f"{kind} file {path}")
     return doc
+
+
+def load_model(path: str) -> dict:
+    return _load(path, "model", MODEL_SHAPE)
+
+
+def load_matrix_file(path: str) -> dict:
+    return _load(path, "matrix", MATRIX_SHAPE)
 
 
 @dataclass
@@ -330,28 +288,3 @@ def parse_period_matrix(doc: dict) -> BigPeriodMatrix:
     if len(entries) != 2 * g or any(len(r) != g for r in entries):
         raise SchemaError(f"period matrix must be {2 * g}x{g}")
     return BigPeriodMatrix(g, entries)
-
-
-MATRIX_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "genus": {"type": "integer", "minimum": 1},
-        "period_matrix": MODEL_SCHEMA["properties"]["period_matrix"],
-        "real_components": {"type": "integer", "minimum": 1},
-    },
-    "required": ["genus", "period_matrix", "real_components"],
-    "additionalProperties": False,
-}
-
-
-_MATRIX_VALIDATOR = validator_for(MATRIX_SCHEMA)(MATRIX_SCHEMA)
-
-
-def load_matrix_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read matrix file {path}: {exc}")
-    _validate(_MATRIX_VALIDATOR, doc, "matrix", path)
-    return doc

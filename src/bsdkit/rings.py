@@ -76,6 +76,21 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
+def xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over a ring R: tuples of elements of R, low
 # degree first, with no trailing zeros.  Zero is the only falsy element of

@@ -96,6 +96,18 @@ class TestVanishingOrder:
                        "--mode", "direct")
         assert doc["order"] == 2
 
+    def test_parses_patches_once(self, capsys, monkeypatch):
+        import bsdkit.cli as cli
+        calls = []
+        parse = cli.parse_patches
+        monkeypatch.setattr(cli, "parse_patches",
+                            lambda doc: calls.append(1) or parse(doc))
+        doc = run_json(capsys, "vanishing-order",
+                       fixture_path("sect31.json"),
+                       "--component", "D0", "--function", "2")
+        assert doc == {"order": 2, "exact": True}
+        assert len(calls) == 1
+
     def test_unknown_component_exit2(self, capsys):
         code, _, _ = run(capsys, "vanishing-order",
                          fixture_path("sect31.json"),
@@ -189,6 +201,24 @@ class TestGb:
         code, _, _ = run(capsys, "gb", "--vars", "x", "--ring", "Z/6", "x")
         assert code == 2
 
+    def test_large_prime_modulus(self, capsys):
+        doc = run_json(capsys, "gb", "x + 1000000008", "--vars", "x",
+                       "--ring", "Z/1000000007")
+        assert doc == {"basis": ["x + 1"], "size": 1}
+
+    def test_modulus_without_exponent(self, capsys):
+        gens = ["2*x*y + y", "x^2 + 1"]
+        assert (run(capsys, "gb", *gens, "--vars", "x,y", "--ring", "Z/8")
+                == run(capsys, "gb", *gens, "--vars", "x,y",
+                       "--ring", "Z/2^3"))
+
+    @pytest.mark.parametrize("modulus", ["12", "1"])
+    def test_not_prime_power_exit2(self, capsys, modulus):
+        code, out, err = run(capsys, "gb", "x", "--vars", "x",
+                             "--ring", f"Z/{modulus}")
+        assert code == 2 and out == ""
+        assert "not a prime power" in err
+
     def test_strong_pseudoprime_ring_exit2(self, capsys):
         # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
         code, out, err = run(capsys, "gb", "x^2+1", "--vars", "x", "--ring",
@@ -224,6 +254,113 @@ class TestExtendField:
         b = run_json(capsys, "extend-field", "--ell", "2", "--p", "3",
                      "--seed", "7", "--iters", "20")
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# malformed files: exit 2, nothing on stdout, the JSON path on stderr
+
+DELETE = object()
+
+# (fixture, JSON path to change, new value or DELETE, path named in stderr)
+MALFORMED = [
+    # JSON types; a float or a bool is never an integer
+    ("cycle5.json", ("p",), 5.0, ".p must be an integer >= 2"),
+    ("cycle5.json", ("special_fibre", "components", 3, "multiplicity"), 1.0,
+     ".special_fibre.components[3].multiplicity must be an integer >= 1"),
+    ("cycle5.json", ("special_fibre", "intersections", 0, 0), -2.0,
+     ".special_fibre.intersections[0][0] must be an integer"),
+    ("cycle5.json", ("special_fibre", "components", 0, "multiplicity"), True,
+     ".special_fibre.components[0].multiplicity must be an integer >= 1"),
+    ("cycle5.json", ("special_fibre", "components", 1, "id"), 1,
+     ".special_fibre.components[1].id must be a string"),
+    ("cycle5.json", ("special_fibre",), [],
+     ".special_fibre must be an object"),
+    ("cycle5.json", ("special_fibre", "intersections"), {},
+     ".special_fibre.intersections must be a list"),
+    ("genus2_p2.json", ("patches", 0, "equations", 0), None,
+     ".patches[0].equations[0] must be a string"),
+    # required keys, optional keys, unknown keys
+    ("cycle5.json", ("p",), DELETE, ".p is missing"),
+    ("cycle5.json", ("special_fibre", "frobenius"), DELETE,
+     ".special_fibre.frobenius is missing"),
+    ("genus2_p2.json", ("charts", 0, "generator_denominator"), DELETE,
+     ".charts[0].generator_denominator is missing"),
+    ("cycle5.json", ("q",), 7, ".q is not a known key"),
+    ("genus2_p2.json", ("differentials", 1, "order"), 1,
+     ".differentials[1].order is not a known key"),
+    # minimums
+    ("cycle5.json", ("p",), 1, ".p must be an integer >= 2"),
+    ("genus2_p2.json", ("genus",), 0, ".genus must be an integer >= 1"),
+    ("cycle5.json", ("special_fibre", "components", 2, "multiplicity"), 0,
+     ".special_fibre.components[2].multiplicity must be an integer >= 1"),
+    ("genus2_p2.json", ("charts", 0, "sample_points", 1, "field_degree"), 0,
+     ".charts[0].sample_points[1].field_degree must be an integer >= 1"),
+    ("cycle5.json", ("real_components",), 0,
+     ".real_components must be an integer >= 1"),
+    # minItems
+    ("genus2_p2.json", ("patches", 0, "variables"), [],
+     ".patches[0].variables must have length >= 1"),
+    ("cycle5.json", ("special_fibre", "components"), [],
+     ".special_fibre.components must have length >= 1"),
+    # the base enum
+    ("genus2_p2.json", ("differentials", 0, "base"), "dw",
+     ".differentials[0].base must be one of dx, dy, dz"),
+    # exactly two strings per period-matrix entry
+    ("genus2_p2.json", ("period_matrix",), [[["1.0", "0.0", "0.0"]]],
+     ".period_matrix[0][0] must have length 2"),
+    ("genus2_p2.json", ("period_matrix",), [[["1.0", 0]]],
+     ".period_matrix[0][0][1] must be a string"),
+    # arbitrary-key maps: coords to an integer or an integer list,
+    # frobenius to strings
+    ("genus2_p2.json", ("charts", 0, "sample_points", 0, "coords", "x"), 1.5,
+     ".charts[0].sample_points[0].coords.x must be an integer"),
+    ("genus2_p2.json", ("charts", 0, "sample_points", 0, "coords", "y"),
+     [1, "0"], ".charts[0].sample_points[0].coords.y[1] must be an integer"),
+    ("genus2_p2.json", ("charts", 0, "sample_points", 0, "modulus"), [1.0],
+     ".charts[0].sample_points[0].modulus[0] must be an integer"),
+    ("cycle5.json", ("special_fibre", "frobenius", "C2"), 2,
+     ".special_fibre.frobenius.C2 must be a string"),
+    # matrix files
+    ("matrix_g2.json", ("real_components",), DELETE,
+     ".real_components is missing"),
+    ("matrix_g2.json", ("genus",), 2.0, ".genus must be an integer >= 1"),
+    ("matrix_g2.json", ("period_matrix", 3, 1), ["0.75"],
+     ".period_matrix[3][1] must have length 2"),
+    ("matrix_g2.json", ("p",), 2, ".p is not a known key"),
+]
+
+
+def _malformed(tmp_path, fixture, path, value):
+    with open(fixture_path(fixture)) as fh:
+        doc = json.load(fh)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    bad = tmp_path / fixture
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize("fixture, path, value, message", MALFORMED,
+                         ids=[m[3].split()[0] for m in MALFORMED])
+def test_malformed_file_names_the_field(tmp_path, capsys, fixture, path,
+                                        value, message):
+    bad = _malformed(tmp_path, fixture, path, value)
+    if fixture.startswith("matrix"):
+        argv = ["period", fixture_path("genus2_p2.json"),
+                "--matrix-file", bad]
+        where = f"matrix file {bad}"
+    else:
+        argv = ["tamagawa", bad]
+        where = f"model file {bad}"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}{message}\n"
 
 
 # ---------------------------------------------------------------------------
