@@ -128,15 +128,23 @@ def _integer_root(m: int, e: int) -> int:
 
 def _parse_ring(spec: str) -> CoefficientRing:
     s = spec.strip().replace(" ", "")
+
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise CliSchemaError(f"ring spec {spec!r}: {text!r} is not "
+                                 "an integer") from None
+
     if s in ("ZZ", "Z"):
         return ZZ
     if s.startswith("Z/"):
         body = s[2:]
         if "^" in body:
             p_str, e_str = body.split("^", 1)
-            p, e = int(p_str), int(e_str)
+            p, e = number(p_str), number(e_str)
         else:
-            m = int(body)
+            m = number(body)
             roots = ((_integer_root(m, e), e)
                      for e in range(1, max(m, 0).bit_length() + 1))
             p, e = next(((r, e) for r, e in roots
@@ -149,8 +157,8 @@ def _parse_ring(spec: str) -> CoefficientRing:
         body = s[3:-1]
         if "^" in body:
             p_str, k_str = body.split("^", 1)
-            return CoefficientRing.GF(int(p_str), int(k_str))
-        return CoefficientRing.GF(int(body))
+            return CoefficientRing.GF(number(p_str), number(k_str))
+        return CoefficientRing.GF(number(body))
     raise CliSchemaError(f"unknown ring spec {spec!r} "
                          "(use ZZ, Z/p^e, or GF(p^k))")
 

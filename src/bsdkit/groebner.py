@@ -19,6 +19,7 @@ from .rings import CoefficientRing, xgcd
 
 DEFAULT_MAX_PAIRS = 10 ** 6
 DEFAULT_MAX_DEGREE = 400
+REDUCED_BASIS_MAX_PASSES = 100   # tail-reduction passes of _reduced_basis
 
 
 class GroebnerError(Exception):
@@ -535,10 +536,14 @@ def _reduced_basis(ring, order: MonomialOrder, G: List[_Entry],
     kept = [G[i] for i in order_idx if not removed[i]]
     # tail-reduce each against the others until stable
     changed = True
-    guard = 0
-    while changed and guard < 100:
+    passes = 0
+    while changed:
+        if passes == REDUCED_BASIS_MAX_PASSES:
+            raise BudgetExceededError(
+                f"_reduced_basis: tail reduction not stable after "
+                f"{passes} passes")
         changed = False
-        guard += 1
+        passes += 1
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
             cof = dict(kept[i].cof) if track else None

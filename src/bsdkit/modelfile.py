@@ -127,8 +127,24 @@ def _load(path: str, kind: str, shape) -> dict:
     return doc
 
 
+def _check_coordinates(doc: dict, where: str) -> None:
+    """Each sample-point coordinate fits its field GF(p^k): an integer,
+    or for k > 1 a list of at most k coefficients."""
+    for i, chart in enumerate(doc.get("charts", [])):
+        for j, pt in enumerate(chart.get("sample_points", [])):
+            k = pt.get("field_degree", 1)
+            for v, raw in pt["coords"].items():
+                if type(raw) is list and (k == 1 or len(raw) > k):
+                    need = "be an integer" if k == 1 else f"have length <= {k}"
+                    raise SchemaError(
+                        f"{where}.charts[{i}].sample_points[{j}].coords.{v} "
+                        f"must {need} (field_degree {k})")
+
+
 def load_model(path: str) -> dict:
-    return _load(path, "model", MODEL_SHAPE)
+    doc = _load(path, "model", MODEL_SHAPE)
+    _check_coordinates(doc, f"model file {path}")
+    return doc
 
 
 def load_matrix_file(path: str) -> dict:

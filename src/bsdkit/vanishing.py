@@ -6,12 +6,17 @@ n with f in I^n localized at I; it is detected through the criterion
 available: the direct chain I_n = I_{n-1} * I + J, and a modified chain
 that re-adds those Groebner basis elements of the previous step that
 already vanish to higher order, which keeps the bases much smaller.
+
+A chain depends only on the component, not on f, so each locus keeps its
+chains and builds each step once: every later order query on the same
+locus walks the steps already built and extends the chain only past them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import count
+from typing import Dict, List, Optional, Sequence
 
 from .groebner import (Ideal, ideal_membership, ideal_quotient, ideal_sum,
                        ideal_sum_product)
@@ -35,6 +40,10 @@ class ComponentLocus:
     J: Ideal
     I: Ideal
     p: int
+    # mode -> [I_1, I_2, ...]: the chain steps built so far, extended on
+    # demand by _chain_step; ignored by equality and hashing
+    _chains: Dict[str, List[Ideal]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.J.ring != self.I.ring or self.J.variables != self.I.variables:
@@ -80,48 +89,64 @@ def _quotient_outside(In: Ideal, f: Polynomial, I: Ideal) -> bool:
     return False
 
 
+def _direct_step(locus: ComponentLocus, In: Ideal) -> Ideal:
+    # interreduce first: keeps the generator count at the basis size
+    # instead of multiplying up step over step
+    return ideal_sum_product(In.interreduced(), locus.I, locus.J)
+
+
+def _modified_step(locus: ComponentLocus, In_mod: Ideal) -> Ideal:
+    """I_{n+1}^modified = J_{n+1} + the elements of I_n^modified's basis
+    that still vanish to order n + 1."""
+    I, J = locus.I, locus.J
+    Jn = ideal_sum_product(In_mod.interreduced(), I, J).interreduced()
+    extra = [x for x in In_mod.groebner_basis()
+             if _quotient_outside(Jn, x, I)]
+    return ideal_sum(Jn, Ideal(extra, order=I.order)) if extra else Jn
+
+
+_STEPS = {"direct": _direct_step, "modified": _modified_step}
+
+
+def _chain_step(locus: ComponentLocus, mode: str, n: int) -> Ideal:
+    """I_n (n >= 1) of the locus's chain, built at most once per locus.
+
+    A step is appended only once it is computed, so an error raised while
+    building it leaves the steps before it cached and the next query
+    retries it.
+    """
+    chain = locus._chains.setdefault(mode, [locus.I])
+    while len(chain) < n:
+        chain.append(_STEPS[mode](locus, chain[-1]))
+    return chain[n - 1]
+
+
 def _direct_chain(locus: ComponentLocus):
-    In = locus.I
-    while True:
-        yield In
-        # interreduce first: keeps the generator count at the basis size
-        # instead of multiplying up step over step
-        In = ideal_sum_product(In.interreduced(), locus.I, locus.J)
+    """I_n = I_{n-1} * I + J; yields I_1, I_2, ..."""
+    for n in count(1):
+        yield _chain_step(locus, "direct", n)
 
 
 def _modified_chain(locus: ComponentLocus):
     """J_n / I_n^modified chain; yields I_n^modified at each step."""
-    I, J = locus.I, locus.J
-    In_mod = I
-    yield In_mod
-    while True:
-        Jn = ideal_sum_product(In_mod.interreduced(), I, J).interreduced()
-        extra = [x for x in In_mod.groebner_basis()
-                 if _quotient_outside(Jn, x, I)]
-        In_mod = ideal_sum(Jn, Ideal(extra, order=I.order)) if extra else Jn
-        yield In_mod
+    for n in count(1):
+        yield _chain_step(locus, "modified", n)
 
 
 def vanishing_order(f: Polynomial, locus: ComponentLocus,
                     mode: str = "modified",
                     budget: int = DEFAULT_ORDER_BUDGET) -> VanishingOrder:
     """Largest n <= budget with f in I^n localized along the component."""
-    if mode not in ("direct", "modified"):
+    if mode not in _STEPS:
         raise VanishingError(f"unknown mode {mode!r}")
     if f.is_zero() or (not locus.J.is_zero()
                        and ideal_membership(f, locus.J)):
         raise FunctionVanishesOnCurve(
             "f vanishes identically on the curve V(J)")
-    chain = _direct_chain(locus) if mode == "direct" else \
-        _modified_chain(locus)
-    n = 0
-    for In in chain:
-        n += 1
-        if n > budget:
-            return VanishingOrder(budget, exact=False)
-        if not _quotient_outside(In, f, locus.I):
+    for n in range(1, budget + 1):
+        if not _quotient_outside(_chain_step(locus, mode, n), f, locus.I):
             return VanishingOrder(n - 1, exact=True)
-    raise AssertionError("unreachable")
+    return VanishingOrder(budget, exact=False)
 
 
 def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,

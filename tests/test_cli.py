@@ -212,6 +212,12 @@ class TestGb:
                 == run(capsys, "gb", *gens, "--vars", "x,y",
                        "--ring", "Z/2^3"))
 
+    @pytest.mark.parametrize("spec", ["Z/abc", "GF(x)", "Z/2^x", "GF(2^x)"])
+    def test_non_numeric_ring_exit2(self, capsys, spec):
+        code, out, err = run(capsys, "gb", "x", "--vars", "x", "--ring", spec)
+        assert code == 2 and out == ""
+        assert "is not an integer" in err and spec in err
+
     @pytest.mark.parametrize("modulus", ["12", "1"])
     def test_not_prime_power_exit2(self, capsys, modulus):
         code, out, err = run(capsys, "gb", "x", "--vars", "x",
@@ -320,6 +326,14 @@ MALFORMED = [
      ".charts[0].sample_points[0].modulus[0] must be an integer"),
     ("cycle5.json", ("special_fibre", "frobenius", "C2"), 2,
      ".special_fibre.frobenius.C2 must be a string"),
+    # sample-point coordinates that do not fit their field
+    ("genus2_p2.json", ("charts", 0, "sample_points", 1, "coords", "x"),
+     [1, 1], ".charts[0].sample_points[1].coords.x must be an integer "
+     "(field_degree 1)"),
+    ("genus2_p2.json", ("charts", 0, "sample_points", 1),
+     {"field_degree": 2, "coords": {"x": 1, "y": [1, 1, 1]}},
+     ".charts[0].sample_points[1].coords.y must have length <= 2 "
+     "(field_degree 2)"),
     # matrix files
     ("matrix_g2.json", ("real_components",), DELETE,
      ".real_components is missing"),

@@ -71,6 +71,15 @@ class TestGroebnerBasis:
         with pytest.raises(BudgetExceededError):
             I.groebner_basis(max_pairs=1)
 
+    def test_reduction_pass_limit_raises(self, monkeypatch):
+        # the tail y of x^2 + y reduces by y + 1: a second pass confirms
+        gens = [P("x^2 + y"), P("y + 1")]
+        monkeypatch.setattr(gb_module, "REDUCED_BASIS_MAX_PASSES", 1)
+        with pytest.raises(BudgetExceededError, match="_reduced_basis.* 1 "):
+            Ideal(gens).groebner_basis()
+        monkeypatch.setattr(gb_module, "REDUCED_BASIS_MAX_PASSES", 2)
+        assert Ideal(gens).groebner_basis() == [P("x^2 - 1"), P("y + 1")]
+
     def test_deterministic(self):
         gens = [P("x^2 - y"), P("2*y^2 - x"), P("3*x*y - 2")]
         a = Ideal(gens).groebner_basis()

@@ -1,10 +1,14 @@
 """vanishing module: Algorithm 3, truncation, modified chain."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from bsdkit.groebner import Ideal, ideal_contained_in
+from bsdkit import groebner, vanishing
+from bsdkit.groebner import BudgetExceededError, Ideal, ideal_contained_in
+from bsdkit.modelfile import parse_prime_model
+from bsdkit.periods import BigPeriodMatrix, period_pipeline
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
 from bsdkit.rings import ZZ, CoefficientRing
 from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
@@ -196,3 +200,136 @@ def test_direct_chain_descends():
         cur = next(chain)
         assert ideal_contained_in(cur, prev)
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# the chain steps a locus keeps
+
+def fresh(locus):
+    """The same component with no chain step built yet."""
+    return ComponentLocus(locus.J, locus.I, locus.p)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+RINGS = {"ZZ": lambda p: ZZ, "Zmod": lambda p: CoefficientRing.Zmod(p, 3),
+         "GF": CoefficientRing.GF}
+
+
+@pytest.mark.parametrize("mode", ["direct", "modified"])
+@pytest.mark.parametrize("kind", sorted(RINGS))
+def test_warm_locus_answers_like_fresh(kind, mode):
+    rng = random.Random(11)
+    for _ in range(3):
+        loc = random_locus(rng)
+        loc = loc.change_ring(RINGS[kind](loc.p))
+        vs = loc.I.variables
+        x_plus_y = parse_polynomial("x + y", loc.ring, vs, GREVLEX)
+        fs = []
+        for _ in range(4):
+            unit = parse_polynomial(rng.choice(["1", "x + 1", "y - 1"]),
+                                    loc.ring, vs, GREVLEX)
+            f = (x_plus_y ** rng.randint(0, 3) * unit).scale(
+                loc.p ** rng.randint(0, 2))
+            fs.append(f)
+        want = {}
+        for f in fs:
+            try:
+                want[str(f)] = vanishing_order(f, fresh(loc), mode, budget=8)
+            except FunctionVanishesOnCurve:
+                continue
+        asked = sorted((f for f in fs if str(f) in want),
+                       key=lambda f: want[str(f)].order)
+        for order in (asked[::-1], asked):
+            warm = fresh(loc)
+            for f in order:
+                assert vanishing_order(f, warm, mode, budget=8) == want[str(f)]
+
+
+@pytest.mark.parametrize("mode", ["direct", "modified"])
+def test_lower_order_query_builds_no_step(monkeypatch, mode):
+    steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
+    loc = sect31_locus()
+    assert vanishing_order(P("x + y") ** 3, loc, mode).order == 3
+    assert len(steps) == 3              # I_2, I_3 and I_4
+    for f in (P("x + y") ** 3, P("x + y") ** 2, const(2), const(1)):
+        vanishing_order(f, loc, mode)
+    assert len(steps) == 3
+    assert vanishing_order(P("x + y") ** 4, loc, mode).order == 4
+    assert len(steps) == 4
+
+
+def c2_z_model(k):
+    """The criterion-2 patch with D0 = V(x + y, z, 2) of multiplicity 2
+    (k = 2 mod 4) and the z-scaled genus-2 basis z*(1, x)."""
+    return {
+        "p": 2, "genus": 2,
+        "patches": [{"id": "U", "variables": ["x", "y", "z"],
+                     "equations": [f"y^{k} - x^{k} + 2*x + 2", "x*z - 2"]}],
+        "special_fibre": {
+            "components": [{"id": "D0", "patch": "U",
+                            "prime_ideal": ["x + y", "z", "2"],
+                            "multiplicity": 2}],
+            "intersections": [[0]], "frobenius": {"D0": "D0"}},
+        "charts": [{
+            "component": "D0", "generator_numerator": "1",
+            "generator_denominator": "1",
+            "sample_points": [
+                {"field_degree": 1, "coords": {"x": 0, "y": 0, "z": 0}},
+                {"field_degree": 1, "coords": {"x": 1, "y": 1, "z": 0}}]}],
+        "differentials": [{"patch": "U", "numerator": n, "denominator": "1",
+                           "base": "dx"} for n in ("z", "z*x")],
+    }
+
+
+def test_period_run_builds_each_step_once(monkeypatch):
+    steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
+    queries = count_calls(monkeypatch, vanishing, "vanishing_order")
+    model, diffs = parse_prime_model(c2_z_model(2))
+    rows = [[2.0 + 0j, 0j], [0j, 2.0 + 0j],
+            [1.0 + 2j, 0.5 + 4j], [0.25 + 6j, 1.5 + 8j]]
+    res = period_pipeline(BigPeriodMatrix(2, rows), [model], {2: diffs},
+                          m_real=2)
+    assert res.W == Fraction(1, 4)
+    chain = model.charts[0].locus._chains["modified"]
+    assert len(steps) == len(chain) - 1 > 0
+    assert len(queries) > len(chain)
+
+
+@pytest.mark.parametrize("mode, max_pairs", [("modified", 30),
+                                             ("direct", 80)])
+def test_budget_error_keeps_built_steps(monkeypatch, mode, max_pairs):
+    # modified: the pair cap is hit while building I_5; direct: building a
+    # step runs no Buchberger, so the cap is hit in a quotient test
+    f = const(16)
+    loc = sect31_locus()
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", max_pairs)
+    with pytest.raises(BudgetExceededError):
+        vanishing_order(f, loc, mode, budget=12)
+    built = len(loc._chains[mode])
+    assert 1 < built < 9
+    monkeypatch.undo()
+    want = vanishing_order(f, sect31_locus(), mode, budget=12)
+    assert want == vanishing.VanishingOrder(8, exact=True)
+    assert vanishing_order(f, loc, mode, budget=12) == want
+    assert len(loc._chains[mode]) == 9
+
+
+def test_chain_cache_ignored_by_equality():
+    warm = sect31_locus()
+    cold = fresh(warm)
+    vanishing_order(P("x + y") ** 2, warm)
+    assert warm._chains and not cold._chains
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert not warm.change_ring(CoefficientRing.Zmod(2, 3))._chains
