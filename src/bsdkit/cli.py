@@ -70,6 +70,10 @@ def cmd_tamagawa(args) -> int:
 
 
 def cmd_vanishing_order(args) -> int:
+    for flag, value in (("--budget", args.budget),
+                        ("--truncate", args.truncate)):
+        if value is not None and value < 1:
+            raise CliSchemaError(f"{flag} must be at least 1, got {value}")
     doc = load_model(args.model)
     patches = parse_patches(doc)
     locus = component_locus(doc, args.component, patches)
@@ -90,6 +94,9 @@ def cmd_vanishing_order(args) -> int:
 
 
 def cmd_period(args) -> int:
+    if not 0 <= args.tol < 1:          # false for nan too
+        raise CliSchemaError(f"--tol must be a finite number with "
+                             f"0 <= tol < 1, got {args.tol!r}")
     matrix_doc = load_matrix_file(args.matrix_file)
     matrix = parse_period_matrix(matrix_doc)
     diffs = {}
@@ -191,7 +198,11 @@ def cmd_gb(args) -> int:
 
 
 def cmd_extend_field(args) -> int:
-    ells = [int(x) for x in args.ell.split(",") if x.strip()]
+    try:
+        ells = [int(x) for x in args.ell.split(",") if x.strip()]
+    except ValueError:
+        raise CliSchemaError(f"--ell must list integers, got "
+                             f"{args.ell!r}") from None
     if not ells:
         raise CliSchemaError("--ell must list at least one prime")
     tower = FieldTower(args.p, seed=args.seed)

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .intmat import rank_det
 from .poly import Polynomial
 from .rings import (QQ, CoefficientRing, factorize, find_irreducible,
-                    is_prime, up, up_add, up_compose_mod, up_is_irreducible,
-                    up_is_squarefree, up_mod, up_mul, up_scale, up_sub,
-                    up_trim)
+                    is_prime, mat_rref, up, up_add, up_compose_mod,
+                    up_is_irreducible, up_is_squarefree, up_mod, up_mul,
+                    up_scale, up_sub, up_trim)
 
 DEGREE_CAP = 24
 
@@ -143,25 +143,6 @@ class _TowerAlgebra:
         return out
 
 
-def _solve_fraction(M: List[List[Fraction]], rhs_list):
-    """Solve M·x = rhs for each rhs; returns None if M is singular."""
-    n = len(M)
-    A = [row[:] + [r[i] for r in rhs_list] for i, row in enumerate(M)]
-    w = len(rhs_list)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        if piv is None:
-            return None
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [[A[r][n + j] for r in range(n)] for j in range(w)]
-
-
 def minimal_polynomial(alg: _TowerAlgebra, theta
                        ) -> Optional[Tuple[Tuple[int, ...],
                                            Tuple[Fraction, ...],
@@ -180,14 +161,14 @@ def minimal_polynomial(alg: _TowerAlgebra, theta
     for _ in range(N):
         cols.append(alg.coords(cur))
         cur = alg.mul(cur, theta)
-    target = alg.coords(cur)          # theta^N
-    M = [[cols[k][i] for k in range(N)] for i in range(N)]
-    sol = _solve_fraction(M, [target,
-                              alg.coords(alg.x_elem()),
-                              alg.coords(alg.y_elem())])
-    if sol is None:
+    rhs = [alg.coords(cur), alg.coords(alg.x_elem()),
+           alg.coords(alg.y_elem())]      # theta^N, x, y
+    # [M | rhs] with the powers of theta as the columns of M
+    red, pivots = mat_rref(QQ, [[col[i] for col in cols + rhs]
+                                for i in range(N)])
+    if pivots[:N] != list(range(N)):
         return None
-    a, cx, cy = sol
+    a, cx, cy = ([row[N + j] for row in red] for j in range(3))
     # g(T) = T^N - sum a_k T^k
     g = up(QQ, [-v for v in a] + [1])
     if len(g) != N + 1 or any(c.denominator != 1 for c in g):

@@ -6,17 +6,22 @@ generator d of the relative dualizing sheaf on each component are inputs;
 this module computes P_I = |det(M_I + conj(M_I))| over all row subsets,
 the real lattice generator P, the per-prime correction W_p = p^(a-b) from
 the pole/vanishing adjustment loops, and Omega = m_real * W * P.
+
+Each P_I is the exact determinant of the doubled real parts (an integer
+determinant over a power-of-two scale), rounded once to a float.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .intmat import rank_det
 from .poly import Polynomial, poly_gcd, exact_divide
-from .rings import CoefficientRing
+from .rings import CoefficientRing, mat_kernel
 from .vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                         multiplicity_of_component, rational_function_order)
 
@@ -52,35 +57,25 @@ class BigPeriodMatrix:
                     raise PeriodError("period matrix entries must be finite")
 
 
-def _real_det(M: List[List[float]]) -> float:
-    """Gaussian elimination with partial pivoting."""
-    n = len(M)
-    A = [row[:] for row in M]
-    det = 1.0
-    for i in range(n):
-        piv = max(range(i, n), key=lambda r: abs(A[r][i]))
-        if A[piv][i] == 0.0:
-            return 0.0
-        if piv != i:
-            A[i], A[piv] = A[piv], A[i]
-            det = -det
-        det *= A[i][i]
-        for r in range(i + 1, n):
-            f = A[r][i] / A[i][i]
-            for c in range(i, n):
-                A[r][c] -= f * A[i][c]
-    return det
-
-
 def covolumes(M: BigPeriodMatrix) -> List[Tuple[Tuple[int, ...], float]]:
-    """P_I = |det(rows_I(M) + conj rows_I(M))| over all C(2g, g) subsets."""
+    """P_I = |det(rows_I(M) + conj rows_I(M))| over all C(2g, g) subsets,
+    computed exactly from the entries and rounded once."""
     g = M.genus
     out = []
     for I in itertools.combinations(range(2 * g), g):
-        # rows + their conjugates = twice the real parts
-        real_rows = [[2.0 * complex(M.entries[i][j]).real for j in range(g)]
-                     for i in I]
-        out.append((I, abs(_real_det(real_rows))))
+        # rows + their conjugates = twice the real parts; each row is
+        # cleared of denominators, and scale collects the factors
+        rows, scale = [], 1
+        for i in I:
+            row = [2 * Fraction(complex(z).real) for z in M.entries[i]]
+            d = math.lcm(*(x.denominator for x in row))
+            rows.append([int(x * d) for x in row])
+            scale *= d
+        try:
+            out.append((I, abs(rank_det(rows)[1]) / scale))
+        except OverflowError:
+            raise PeriodError(
+                f"covolume P_{I} exceeds the float range") from None
     return out
 
 
@@ -291,35 +286,6 @@ def differential_order_on_component(w: DifferentialRep,
 # vanishing subspace from sample points (linear-algebra shortcut)
 
 
-def _fp_kernel(rows: List[List[int]], p: int, g: int) -> List[List[int]]:
-    """Kernel basis of the matrix over GF(p) (vectors of length g)."""
-    A = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(g):
-        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(g) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0] * g
-        v[c] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i][c]) % p
-        basis.append(v)
-    return basis
-
-
 def vanishing_subspace(charts: Sequence[ComponentChart],
                        diffs: Sequence[DifferentialRep]) -> List[List[int]]:
     """Subspace V of GF(p)^g containing every (c_j) whose combination
@@ -370,7 +336,7 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
     if usable == 0:
         raise PeriodError("all sample points are killed by denominators; "
                           "fall back to the full per-component check")
-    return _fp_kernel(rows, p, g)
+    return mat_kernel(CoefficientRing.GF(p), rows, g)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +418,12 @@ def neron_basis_adjust(model: PrimeModel,
             if not pole:
                 break
         # step 6: divide out a vanishing combination
-        candidates: List[List[int]] = []
         try:
             basis = vanishing_subspace(model.charts, work)
-            candidates = _nonzero_span(basis, p, g)
         except PeriodError:
-            candidates = [list(v) for v in
-                          itertools.product(range(p), repeat=g)
-                          if any(v)]
+            basis = [[int(i == j) for j in range(g)] for i in range(g)]
         found = None
-        for c in candidates:
+        for c in _nonzero_span(basis, p, g):
             comb = _combination(work, c)
             if comb.numerator.is_zero():
                 continue

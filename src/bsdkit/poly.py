@@ -546,19 +546,6 @@ def _from_view(view: Dict[int, Polynomial], i: int, model: Polynomial):
     return Polynomial(model.ring, model.variables, terms, model.order)
 
 
-def _view_scale(view, c):
-    return {d: p.scale(c) for d, p in view.items() if not p.scale(c).is_zero()}
-
-
-def _view_mul_poly(view, q):
-    out = {}
-    for d, p in view.items():
-        r = p * q
-        if not r.is_zero():
-            out[d] = r
-    return out
-
-
 def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     """f / g if g divides f exactly, else None.  Works over ZZ and fields."""
     f._check_compat(g)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from .groebner import (Ideal, ideal_membership, ideal_quotient, ideal_sum,
                        ideal_sum_product)
@@ -204,24 +204,14 @@ def multiplicity_of_component(locus: ComponentLocus,
 
 
 def rational_function_order(f, g, locus: ComponentLocus,
-                            f_factors: Optional[Sequence] = None,
-                            g_factors: Optional[Sequence] = None,
                             mode: str = "modified",
                             budget: int = DEFAULT_ORDER_BUDGET) -> int:
-    """ord(f) - ord(g); factor lists, when supplied, are summed termwise."""
+    """ord(f) - ord(g)."""
 
-    def total(poly, factors):
-        if factors:
-            s = 0
-            for fac in factors:
-                res = vanishing_order(fac, locus, mode=mode, budget=budget)
-                if not res.exact:
-                    raise VanishingError("budget hit on a factor")
-                s += res.order
-            return s
+    def order(poly):
         res = vanishing_order(poly, locus, mode=mode, budget=budget)
         if not res.exact:
             raise VanishingError("budget hit")
         return res.order
 
-    return total(f, f_factors) - total(g, g_factors)
+    return order(f) - order(g)

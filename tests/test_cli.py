@@ -263,6 +263,39 @@ class TestExtendField:
 
 
 # ---------------------------------------------------------------------------
+# numeric flags out of range: exit 2, nothing on stdout, the flag on stderr
+
+PERIOD = ("period", "genus2_p2.json", "--matrix-file", "matrix_g2.json")
+VANISHING = ("vanishing-order", "sect31.json", "--component", "D0",
+             "--function", "x+y")
+BAD_NUMBERS = [
+    (("extend-field", "--ell", "2,x", "--p", "3"), "--ell"),
+    (PERIOD + ("--tol", "-1"), "--tol"),
+    (PERIOD + ("--tol", "nan"), "--tol"),
+    (PERIOD + ("--tol", "inf"), "--tol"),
+    (PERIOD + ("--tol", "2"), "--tol"),
+    (VANISHING + ("--budget", "-3"), "--budget"),
+    (VANISHING + ("--budget", "0"), "--budget"),
+    (VANISHING + ("--truncate", "0"), "--truncate"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_NUMBERS,
+                         ids=[f"{f} {a[a.index(f) + 1]}"
+                              for a, f in BAD_NUMBERS])
+def test_bad_numeric_flag_exit2(capsys, argv, flag):
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ")
+
+
+def test_tol_zero_answers(capsys):
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in PERIOD]
+    assert run_json(capsys, *argv, "--tol", "0")["precision"] == "0.0"
+
+
+# ---------------------------------------------------------------------------
 # malformed files: exit 2, nothing on stdout, the JSON path on stderr
 
 DELETE = object()

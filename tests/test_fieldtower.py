@@ -1,18 +1,37 @@
 """fieldtower module: inert towers, subfield registry, discriminant
 descent, resultants."""
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from bsdkit.fieldtower import (FieldTower, FieldTowerError, discriminant,
-                               extend_inert, is_inert,
-                               optimise_discriminant, resultant,
-                               subfield_property_check)
+from bsdkit.fieldtower import (FieldTower, FieldTowerError, _TowerAlgebra,
+                               discriminant, extend_inert, is_inert,
+                               minimal_polynomial, optimise_discriminant,
+                               resultant, subfield_property_check)
 from bsdkit.rings import QQ, up, up_compose_mod
 
 uq = partial(up, QQ)
 uq_compose_mod = partial(up_compose_mod, QQ)
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials in QQ[x, y]/(x^2 - 2, y^2 - 3) = QQ(sqrt 2, sqrt 3)
+
+class TestMinimalPolynomial:
+    alg = _TowerAlgebra((-2, 0, 1), [(-3,), (), (1,)])
+
+    def test_primitive_element(self):
+        theta = self.alg.add(self.alg.x_elem(), self.alg.y_elem())
+        # theta^3 = 11x + 9y, so x = (theta^3 - 9 theta)/2
+        assert minimal_polynomial(self.alg, theta) == (
+            (1, 0, -10, 0, 1), uq((0, Fraction(-9, 2), 0, Fraction(1, 2))),
+            uq((0, Fraction(11, 2), 0, Fraction(-1, 2))))
+
+    def test_singular_system(self):
+        # x has degree 2: 1, x, x^2, x^3 are dependent
+        assert minimal_polynomial(self.alg, self.alg.x_elem()) is None
 
 
 # ---------------------------------------------------------------------------

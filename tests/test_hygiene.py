@@ -1,5 +1,6 @@
-"""Source hygiene: every name a bsdkit module imports is used in it, and
-every module it imports is in the standard library or bsdkit itself."""
+"""Source hygiene: every name a bsdkit module imports is used in it, every
+module it imports is in the standard library or bsdkit itself, and every
+private module-level function or class is used somewhere."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bsdkit"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -73,3 +75,48 @@ def test_cli_imports_without_jsonschema():
             "import bsdkit.cli")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def unreferenced_private(sources):
+    """(module, line, name) for each module-level function or class named
+    _name in the {module: source} map that no source refers to outside
+    its own definition: by name, attribute, import or string (such as a
+    monkeypatch target)."""
+    defs, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defs.append((module, stmt.lineno, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                elif isinstance(node, ast.Constant):
+                    name = node.value
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [d for d in defs if d[2] not in used]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path.name: path.read_text() for path in MODULES + TESTS}
+    assert unreferenced_private(sources) == []
+
+
+def test_detects_unreferenced_private_helper():
+    sources = {
+        "a.py": ("def _used():\n    pass\n\n\ndef _dead(n):\n"
+                 "    return _dead(n - 1) if n else 0\n\n\n"
+                 "class _Patched:\n    pass\n"),
+        "b.py": ("from a import _used\nimport a\n"
+                 "setattr(a, '_Patched', None)\n"),
+    }
+    assert unreferenced_private(sources) == [("a.py", 5, "_dead")]

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsdkit import periods
 from bsdkit.modelfile import load_model, parse_prime_model
 from bsdkit.periods import (BigPeriodMatrix, DifferentialRep, PeriodError,
                             RepeatedPrimeError, convert_differential, covolumes,
@@ -28,6 +29,18 @@ def genus2_model():
 
 # ---------------------------------------------------------------------------
 # covolumes
+
+
+def leibniz_det(A):
+    det = 0
+    for perm in itertools.permutations(range(len(A))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        det += term
+    return det
+
 
 class TestCovolumes:
     def test_real_imaginary_rows(self):
@@ -56,6 +69,25 @@ class TestCovolumes:
             c = 2 * rows[j][0].real
             d = 2 * rows[j][1].real
             assert val == pytest.approx(abs(a * d - b * c), abs=1e-12)
+
+    def test_exact_determinant_rounded_once(self):
+        # decimal entries are not dyadic, so elimination in floating point
+        # rounds at every step; the covolume is the exact determinant of
+        # the parsed doubles, rounded once
+        rng = random.Random(17)
+        for g in (2, 3):
+            for _ in range(20):
+                rows = [[complex(float(f"{rng.uniform(-9, 9):.3f}"), 1.0)
+                         for _ in range(g)] for _ in range(2 * g)]
+                for I, val in covolumes(BigPeriodMatrix(g, rows)):
+                    A = [[2 * Fraction(rows[i][j].real) for j in range(g)]
+                         for i in I]
+                    assert val == abs(float(leibniz_det(A)))
+
+    def test_overflow_is_a_period_error(self):
+        M = BigPeriodMatrix(1, [[1.5e308 + 0j], [1.0 + 0j]])
+        with pytest.raises(PeriodError, match="float range"):
+            covolumes(M)
 
     def test_conjugation_invariance(self):
         rng = random.Random(10)
@@ -263,6 +295,30 @@ class TestAdjust:
         model, diffs = genus2_model()
         with pytest.raises(PeriodError):
             neron_basis_adjust(model, diffs[:1])
+
+    def test_without_sample_points_every_vector_is_a_candidate(
+            self, monkeypatch):
+        model, diffs = genus2_model()
+        scaled = [w.scaled_by_p(2) for w in diffs]
+        want = neron_basis_adjust(model, scaled).W_p
+
+        def no_subspace(charts, diffs):
+            raise PeriodError("all sample points are killed")
+
+        spans = []
+        nonzero_span = periods._nonzero_span
+
+        def record(basis, p, g):
+            spans.append(nonzero_span(basis, p, g))
+            return spans[-1]
+
+        monkeypatch.setattr(periods, "vanishing_subspace", no_subspace)
+        monkeypatch.setattr(periods, "_nonzero_span", record)
+        model, _ = genus2_model()
+        assert neron_basis_adjust(model, scaled).W_p == want == Fraction(1, 4)
+        every = [list(v) for v in itertools.product(range(2), repeat=2)
+                 if any(v)]
+        assert spans and all(s == every for s in spans)
 
 
 # ---------------------------------------------------------------------------
