@@ -3,8 +3,8 @@
 Commands: tamagawa, vanishing-order, period, gb, extend-field.
 Exit codes: 0 success (stdout is exactly one JSON document), 2 malformed
 input (schema/parse/reference errors), 3 mathematical validation failure.
-Diagnostics go to stderr.  BSDKIT_GB_BUDGET overrides the Groebner pair
-budget.
+Diagnostics go to stderr.  BSDKIT_GB_BUDGET (an integer >= 1) overrides
+the Groebner pair budget for one main() call.
 """
 
 from __future__ import annotations
@@ -46,13 +46,18 @@ def _emit(obj) -> int:
 
 
 def _apply_gb_budget():
+    """Set the pair budget from BSDKIT_GB_BUDGET; main() restores it."""
     raw = os.environ.get("BSDKIT_GB_BUDGET")
     if raw:
         try:
-            groebner.DEFAULT_MAX_PAIRS = int(raw)
+            budget = int(raw)
         except ValueError:
             raise CliSchemaError(
                 f"BSDKIT_GB_BUDGET must be an integer, got {raw!r}")
+        if budget < 1:
+            raise CliSchemaError(
+                f"BSDKIT_GB_BUDGET must be at least 1, got {budget}")
+        groebner.DEFAULT_MAX_PAIRS = budget
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +303,7 @@ MATH_ERRORS = (ModelMathError, FibreError, VanishingError, GroebnerError,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    max_pairs = groebner.DEFAULT_MAX_PAIRS
     try:
         _apply_gb_budget()
         return args.func(args)
@@ -307,6 +313,9 @@ def main(argv=None) -> int:
     except MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    finally:
+        # the override holds for this call only
+        groebner.DEFAULT_MAX_PAIRS = max_pairs
 
 
 if __name__ == "__main__":

@@ -336,7 +336,16 @@ def _add_into(ring, acc, terms, sign=1):
 
 
 def _buchberger(gens: Sequence[Polynomial], ring, order,
-                max_pairs=None, max_degree=None, track=False) -> List[_Entry]:
+                max_pairs=None, max_degree=None, track=False,
+                known=0) -> List[_Entry]:
+    """A strong basis of (gens) under ``order``, as unreduced entries.
+
+    ``known`` says that ``gens[:known]`` is already a strong basis under
+    ``order``: their S-polynomials, G-polynomials and annihilators have
+    standard representations (Norton & Salagean 2001), so no pair inside
+    that block and no annihilator of it is queued.  Pairs against the
+    later generators are completed as usual.
+    """
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_degree = max_degree or DEFAULT_MAX_DEGREE
@@ -347,9 +356,11 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     G: List[_Entry] = []
     nvars = None
+    n_known = 0   # entries of G that come from gens[:known]
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
+        n_known += i < known
         nvars = len(g.variables)
         cof = {(0,) * nvars: ring.one()} if track else None
         if track and len(gens) != 1:
@@ -436,10 +447,10 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     n0 = len(G)
     vals = [lead_val(G[i]) for i in range(n0)]
     for i in range(n0):
-        for j in range(i + 1, n0):
+        for j in range(max(i + 1, n_known), n0):
             push_pair(i, j)
     if is_chain:
-        for i in range(n0):
+        for i in range(n_known, n0):
             if vals[i] > 0:
                 ann_queue.append(i)
 
@@ -708,10 +719,17 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
         base = I.groebner_basis(max_pairs, max_degree)
         gens = [t * g.extend_variables(ext_vars, elim) for g in base]
         gens.append((one - t) * f.extend_variables(ext_vars, elim))
-        J = Ideal(gens, order=elim)
-        gb = J.groebner_basis(max_pairs, max_degree)
-        inter = [g.restrict_variables(I.variables).with_order(I.order)
-                 for g in gb if g.degree_in(tag) == 0]
+        # t*G is a strong basis under elim only if elim restricted to
+        # I's variables is I's order
+        known = len(base) if I.order == GREVLEX else 0
+        G = _buchberger(gens, ring, elim, max_pairs, max_degree,
+                        known=known)
+        # the t-free entries (t is variable 0) are a strong basis of
+        # I ∩ (f): in an elimination order nothing with t reduces them
+        G = _reduced_basis(ring, elim, [g for g in G if not g.lm[0]])
+        inter = [Polynomial(ring, I.variables,
+                            {e[1:]: c for e, c in g.terms.items()}, I.order)
+                 for g in G]
         f_basis = None
         if inter and ring.kind == "Zmod":
             # one cofactor-tracked reduced basis of (f), shared by every h

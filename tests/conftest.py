@@ -31,6 +31,19 @@ def sect31_locus(ring=ZZ):
     return ComponentLocus(J, I, 2)
 
 
+def criterion2_locus():
+    """The criterion-2 workload: J = (y^100 - x^100 + 2x + 2, xz - 2),
+    I = (x + y, z, 2) over ZZ/2^18, grevlex."""
+    R = CoefficientRing.Zmod(2, 18)
+    vs = ("x", "y", "z")
+    J = Ideal([parse_polynomial("y^100 - x^100 + 2*x + 2", R, vs, GREVLEX),
+               parse_polynomial("x*z - 2", R, vs, GREVLEX)])
+    I = Ideal([parse_polynomial("x + y", R, vs, GREVLEX),
+               parse_polynomial("z", R, vs, GREVLEX),
+               Polynomial.constant(R, vs, 2, GREVLEX)])
+    return ComponentLocus(J, I, 2)
+
+
 @pytest.fixture
 def zz():
     return ZZ

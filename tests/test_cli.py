@@ -296,6 +296,40 @@ def test_tol_zero_answers(capsys):
 
 
 # ---------------------------------------------------------------------------
+# BSDKIT_GB_BUDGET: read per call, at least 1
+
+SECT31_ORDER_OF_2 = ("vanishing-order", "sect31.json", "--component", "D0",
+                     "--function", "2")
+
+
+def _sect31_order_of_2(capsys):
+    return run(capsys, *(fixture_path(a) if a.endswith(".json") else a
+                         for a in SECT31_ORDER_OF_2))
+
+
+def test_gb_budget_holds_for_one_call(capsys, monkeypatch):
+    import bsdkit.groebner as groebner
+    default = groebner.DEFAULT_MAX_PAIRS
+    monkeypatch.setenv("BSDKIT_GB_BUDGET", "1")
+    code, out, err = _sect31_order_of_2(capsys)
+    assert (code, out) == (3, "")
+    assert "pair count exceeds cap 1" in err
+    monkeypatch.delenv("BSDKIT_GB_BUDGET")
+    code, out, err = _sect31_order_of_2(capsys)
+    assert code == 0, err
+    assert json.loads(out) == {"order": 2, "exact": True}
+    assert groebner.DEFAULT_MAX_PAIRS == default
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_gb_budget_below_one_exit2(capsys, monkeypatch, value):
+    monkeypatch.setenv("BSDKIT_GB_BUDGET", value)
+    code, out, err = _sect31_order_of_2(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BSDKIT_GB_BUDGET ")
+
+
+# ---------------------------------------------------------------------------
 # malformed files: exit 2, nothing on stdout, the JSON path on stderr
 
 DELETE = object()

@@ -219,21 +219,22 @@ def test_gb_correctness_random(ring):
 
 
 def test_quotient_soundness_random():
+    # f * (I : f) is contained in I, over ZZ/8 and ZZ
     import random
-    rng = random.Random(11)
-    ring = CoefficientRing.Zmod(2, 3)
-    for _ in range(15):
-        gens = [small_poly(ring, rng) for _ in range(2)]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            continue
-        I = Ideal(gens)
-        f = small_poly(ring, rng)
-        if f.is_zero():
-            continue
-        Q = ideal_quotient(I, f)
-        for g in Q.generators:
-            assert ideal_membership(g * f, I)
+    for ring in (CoefficientRing.Zmod(2, 3), ZZ):
+        rng = random.Random(11)
+        for _ in range(15):
+            gens = [small_poly(ring, rng) for _ in range(2)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            I = Ideal(gens)
+            f = small_poly(ring, rng)
+            if f.is_zero():
+                continue
+            Q = ideal_quotient(I, f)
+            for g in Q.generators:
+                assert ideal_membership(g * f, I)
 
 
 def test_quotient_divides_under_ideal_order():
@@ -301,20 +302,29 @@ def test_reducer_preference_does_not_change_results(ring, monkeypatch):
 
 
 def test_quotient_completeness_small():
-    # brute force {g : g*f in I} subset of (I : f) over GF(3), deg <= 2
-    ring = CoefficientRing.GF(3)
+    # brute force {g : g*f in I} subset of (I : f), deg <= 2, over GF(3)
+    # and ZZ/4 (f with unit and with non-unit content)
     vs = ("x", "y")
-    I = Ideal([P("x^2 + y", ring), P("x*y", ring)])
-    f = P("x", ring)
-    Q = ideal_quotient(I, f)
     exps = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
-    for coeffs in itertools.product(range(3), repeat=len(exps)):
-        g = Polynomial.from_terms(ring, vs, list(zip(exps, coeffs)),
-                                  GREVLEX)
-        if g.is_zero():
-            continue
-        if ideal_membership(g * f, I):
-            assert ideal_membership(g, Q)
+    for ring, gens, f in [
+            (CoefficientRing.GF(3), ("x^2 + y", "x*y"), "x"),
+            (CoefficientRing.Zmod(2, 2), ("x^2 + 2*y", "x*y + 2", "2*x"),
+             "x + 2*y"),
+            (CoefficientRing.Zmod(2, 2), ("x^2 + y", "x*y", "2*y"), "2*x")]:
+        I = Ideal([P(g, ring) for g in gens])
+        f = P(f, ring)
+        Q = ideal_quotient(I, f)
+        found = 0
+        for coeffs in itertools.product(range(ring.m or ring.p),
+                                        repeat=len(exps)):
+            g = Polynomial.from_terms(ring, vs, list(zip(exps, coeffs)),
+                                      GREVLEX)
+            if g.is_zero():
+                continue
+            if ideal_membership(g * f, I):
+                found += 1
+                assert ideal_membership(g, Q)
+        assert found
 
 
 def test_homomorphic_consistency():
@@ -334,3 +344,61 @@ def test_interreduced_same_ideal():
     K = I.interreduced()
     assert ideals_equal(I, K)
     assert list(K.generators) == list(I.groebner_basis())
+
+
+KNOWN_RINGS = [CoefficientRing.GF(3), CoefficientRing.Zmod(2, 2),
+               CoefficientRing.Zmod(2, 3), ZZ]
+
+
+@pytest.mark.parametrize("ring", KNOWN_RINGS,
+                         ids=["GF3", "Zmod4", "Zmod8", "ZZ"])
+def test_known_start_matches_full_completion(ring):
+    # a reduced basis put first is a strong basis, so completing from it
+    # gives the same reduced basis as completing every pair
+    import random
+    rng = random.Random(13)
+    order = GREVLEX
+    compared = 0
+    for _ in range(20):
+        first = [g for g in (small_poly(ring, rng)
+                             for _ in range(2)) if not g.is_zero()]
+        more = [g for g in (small_poly(ring, rng)
+                            for _ in range(2)) if not g.is_zero()]
+        if not first or not more:
+            continue
+        gb = Ideal(first).groebner_basis()
+        gens = gb + more
+
+        def reduced(known):
+            G = gb_module._buchberger(gens, ring, order, known=known)
+            return [g.terms for g in
+                    gb_module._reduced_basis(ring, order, G)]
+
+        assert reduced(len(gb)) == reduced(0)
+        compared += 1
+    assert compared >= 10
+
+
+@pytest.mark.parametrize("ring", KNOWN_RINGS,
+                         ids=["GF3", "Zmod4", "Zmod8", "ZZ"])
+def test_quotient_of_lex_ideal(ring):
+    # a lex basis of I need not be a strong basis under the elimination
+    # order (x - y^2 leads with x under lex, with y^2 under grevlex), so
+    # the quotient of a lex-ordered I completes every pair; both orders
+    # give one ideal
+    import random
+    rng = random.Random(17)
+    lex = MonomialOrder.lex()
+    cases = [([P("x - y^2", ring), P("y^3 + x", ring)], P("x", ring)),
+             ([P("x - y^2", ring), P("y^3 - 1", ring)], P("x + 1", ring))]
+    for _ in range(10):
+        cases.append(([small_poly(ring, rng, max_deg=3) for _ in range(3)],
+                      small_poly(ring, rng)))
+    for gens, f in cases:
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens or f.is_zero():
+            continue
+        Q = ideal_quotient(Ideal(gens), f)
+        Q_lex = ideal_quotient(Ideal(gens, order=lex), f)
+        assert Q_lex.order == lex
+        assert ideals_equal(Q, Q_lex)

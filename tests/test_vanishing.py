@@ -6,18 +6,20 @@ from fractions import Fraction
 import pytest
 
 from bsdkit import groebner, vanishing
-from bsdkit.groebner import BudgetExceededError, Ideal, ideal_contained_in
+from bsdkit.groebner import (BudgetExceededError, Ideal, ideal_contained_in,
+                             ideal_sum_product)
 from bsdkit.modelfile import parse_prime_model
 from bsdkit.periods import BigPeriodMatrix, period_pipeline
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
 from bsdkit.rings import ZZ, CoefficientRing
 from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                               VanishingError, _direct_chain,
+                              _modified_chain,
                               multiplicity_of_component,
                               rational_function_order, vanishing_order,
                               vanishing_order_truncated)
 
-from conftest import P, const, sect31_locus
+from conftest import P, const, criterion2_locus, sect31_locus
 
 
 class TestVanishingOrder:
@@ -330,3 +332,38 @@ def test_chain_cache_ignored_by_equality():
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert not warm.change_ring(CoefficientRing.Zmod(2, 3))._chains
+
+
+# ---------------------------------------------------------------------------
+# the criterion-2 chain: its gate, and the work a known basis saves
+
+
+def test_criterion2_chain_sizes_to_step_12():
+    chain = _modified_chain(criterion2_locus())
+    sizes = [len(next(chain).groebner_basis()) for _ in range(12)]
+    assert sizes == [3, 3, 3, 3, 8, 8, 8, 8, 13, 13, 13, 13]
+
+
+def test_known_basis_saves_reductions(monkeypatch):
+    # one quotient of the modified step's filter: J_n's reduced basis G
+    # enters the elimination as t*G, which is already a strong basis
+    loc = criterion2_locus()
+    In = vanishing._chain_step(loc, "modified", 5)
+    Jn = ideal_sum_product(In.interreduced(), loc.I, loc.J).interreduced()
+    x = In.groebner_basis()[-1]
+    buchberger = groebner._buchberger
+
+    def quotient(known_start):
+        if not known_start:
+            monkeypatch.setattr(
+                groebner, "_buchberger",
+                lambda *args, known=0, **kw: buchberger(*args, **kw))
+        reductions = count_calls(monkeypatch, groebner, "_reduce")
+        Q = groebner.ideal_quotient(Jn, x)
+        monkeypatch.undo()
+        return Q.generators, len(reductions)
+
+    gens, known_count = quotient(True)
+    gens_full, full_count = quotient(False)
+    assert gens == gens_full
+    assert known_count < full_count
