@@ -203,6 +203,8 @@ def cmd_gb(args) -> int:
 
 
 def cmd_extend_field(args) -> int:
+    if args.iters < 0:
+        raise CliSchemaError(f"--iters must be at least 0, got {args.iters}")
     try:
         ells = [int(x) for x in args.ell.split(",") if x.strip()]
     except ValueError:

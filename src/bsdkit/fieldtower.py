@@ -19,14 +19,15 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intmat import rank_det
 from .poly import Polynomial
-from .rings import (QQ, CoefficientRing, factorize, find_irreducible,
-                    is_prime, mat_rref, up, up_add, up_compose_mod,
-                    up_is_irreducible, up_is_squarefree, up_mod, up_mul,
-                    up_scale, up_sub, up_trim)
+from .rings import (QQ, ZZ, CoefficientRing, factorize, find_irreducible,
+                    is_prime, mat_rref, up, up_add, up_is_irreducible,
+                    up_is_squarefree, up_mod, up_mul, up_scale, up_sub,
+                    up_trim)
 
 DEGREE_CAP = 24
 
@@ -41,7 +42,7 @@ class FieldTowerError(ValueError):
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     """Res(f, g) of integer univariate polynomials via the Sylvester
-    determinant."""
+    determinant (the tests' independent check of `discriminant`)."""
     f = tuple(f)
     g = tuple(g)
     n = len(f) - 1
@@ -64,16 +65,43 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
 
 
 def discriminant(f: Sequence[int]) -> int:
-    """disc(f) for monic integer f: (-1)^(n(n-1)/2) Res(f, f')."""
+    """disc(f) for monic integer f: (-1)^(n(n-1)/2) Res(f, f'), where
+    Res(f, f') = det of multiplication by f' on ZZ[x]/(f), the n x n
+    matrix whose rows are x^j f' mod f (j = 0, ..., n-1)."""
     f = tuple(f)
     n = len(f) - 1
     if n < 1:
         raise FieldTowerError("discriminant needs degree >= 1")
     if f[-1] != 1:
         raise FieldTowerError("discriminant implemented for monic f")
-    fp = tuple(i * f[i] for i in range(1, len(f)))
-    r = resultant(f, fp)
+    row = [i * f[i] for i in range(1, n + 1)]
+    rows = []
+    for _ in range(n):
+        rows.append(row)
+        # x * row, with x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+        top = row[-1]
+        row = [c - top * fi for c, fi in zip([0] + row[:-1], f)]
+    r = rank_det(rows)[1]
     return -r if (n * (n - 1) // 2) % 2 else r
+
+
+def _compose_mod(a, b, g) -> Tuple[Fraction, ...]:
+    """a(b) mod g for QQ-polynomials a, b and a monic integer g, over ZZ:
+    with a = A/da and b = B/db, Horner gives acc = sum A_i B^i db^(n-i)
+    mod g (n = deg a), and a(b) mod g = acc / (da db^n)."""
+    if not g or g[-1] != 1 or any(c.denominator != 1 for c in g):
+        raise FieldTowerError("composition needs a monic integer modulus")
+    g = tuple(c.numerator for c in g)
+    da = lcm(*(c.denominator for c in a))
+    db = lcm(*(c.denominator for c in b))
+    A = [c.numerator * (da // c.denominator) for c in a]
+    B = up_mod(ZZ, [c.numerator * (db // c.denominator) for c in b], g)
+    acc, scale = (), 1
+    for c in reversed(A):
+        acc = up_mod(ZZ, up_add(ZZ, up_mul(ZZ, acc, B), (c * scale,)), g)
+        scale *= db
+    den = da * db ** max(len(A) - 1, 0)
+    return tuple(Fraction(c, den) for c in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +392,7 @@ class FieldTower:
                     "no primitive element found for the compositum "
                     f"(budget {budget})")
             g, wx, wy, s, c_pow = found
-            gmod = up(QQ, g)
-            gen_images = {l: up_compose_mod(QQ, img, wx, gmod)
+            gen_images = {l: _compose_mod(img, wx, g)
                           for l, img in gen_images.items()}
             gen_images[ell] = wy
             recipe.append((ell, levels[ell], s, c_pow))
@@ -386,10 +413,9 @@ class FieldTower:
         if level > a:
             raise FieldTowerError("chain level not contained in the node")
         img = node.gen_images[ell]              # level-a generator
-        gmod = up(QQ, node.defining_poly)
         for b in range(a - 1, level - 1, -1):
-            img = up_compose_mod(QQ, self.chains[ell][b].embed_prev, img,
-                                 gmod)
+            img = _compose_mod(self.chains[ell][b].embed_prev, img,
+                               node.defining_poly)
         return img
 
     def embed(self, sub: NumberFieldNode, node: NumberFieldNode
@@ -398,20 +424,15 @@ class FieldTower:
         sending sub's primitive element to its image in node."""
         key = tuple(sorted(sub.levels.items()))
         recipe = self._recipes[key]
-        gmod = up(QQ, node.defining_poly)
         if not recipe:
             return ()        # QQ: generator 0
         ell, lev, _, _ = recipe[0]
         img = self._chain_gen_image(node, ell, lev)
         for (ell, lev, s, c_pow) in recipe[1:]:
-            y_img = self._chain_gen_image(node, ell, lev)
-            term = y_img
-            if s:
-                powx = (QQ.one(),)
-                for _ in range(c_pow):
-                    powx = up_mod(QQ, up_mul(QQ, powx, img), gmod)
-                term = up_add(QQ, term, up_scale(QQ, powx, s))
-            img = up_mod(QQ, term, gmod)
+            # y + s * x^c_pow, with x the image built so far
+            shift = _compose_mod((0,) * c_pow + (s,), img,
+                                 node.defining_poly)
+            img = up_add(QQ, self._chain_gen_image(node, ell, lev), shift)
         return img
 
     # -- registry
@@ -427,9 +448,7 @@ class FieldTower:
             sub = self.node_for({ell: fac.get(ell, 0)
                                  for ell in node.levels})
             w = self.embed(sub, node)
-            check = up_compose_mod(QQ, up(QQ, sub.defining_poly), w,
-                                   up(QQ, node.defining_poly))
-            if check:
+            if _compose_mod(sub.defining_poly, w, node.defining_poly):
                 raise FieldTowerError(
                     f"embedding witness for degree {d} failed verification")
             reg[d] = (sub, w)
@@ -474,7 +493,6 @@ def subfield_property_check(K: NumberFieldNode
     every divisor of the degree."""
     missing: List[int] = []
     reg = K.registry()
-    gmod = up(QQ, K.defining_poly)
     for d in _divisors(K.degree):
         entry = reg.get(d)
         if entry is None:
@@ -482,7 +500,7 @@ def subfield_property_check(K: NumberFieldNode
             continue
         sub, w = entry
         if sub.degree != d or \
-                up_compose_mod(QQ, up(QQ, sub.defining_poly), w, gmod):
+                _compose_mod(sub.defining_poly, w, K.defining_poly):
             missing.append(d)
     return (not missing), missing
 

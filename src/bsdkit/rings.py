@@ -194,14 +194,6 @@ def up_powmod(R, a, n: int, mod):
     return result
 
 
-def up_compose_mod(R, a, b, mod):
-    """a(b) reduced modulo mod, by Horner."""
-    acc = ()
-    for c in reversed(a):
-        acc = up_mod(R, up_add(R, up_mul(R, acc, b), (c,)), mod)
-    return acc
-
-
 def up_is_squarefree(R, f) -> bool:
     deriv = up_trim(R, [R.mul_int(f[i], i) for i in range(1, len(f))])
     return bool(deriv) and up_gcd(R, f, deriv) == (R.one(),)

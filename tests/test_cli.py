@@ -270,6 +270,7 @@ VANISHING = ("vanishing-order", "sect31.json", "--component", "D0",
              "--function", "x+y")
 BAD_NUMBERS = [
     (("extend-field", "--ell", "2,x", "--p", "3"), "--ell"),
+    (("extend-field", "--ell", "2", "--p", "3", "--iters", "-3"), "--iters"),
     (PERIOD + ("--tol", "-1"), "--tol"),
     (PERIOD + ("--tol", "nan"), "--tol"),
     (PERIOD + ("--tol", "inf"), "--tol"),

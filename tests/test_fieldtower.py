@@ -1,19 +1,29 @@
 """fieldtower module: inert towers, subfield registry, discriminant
-descent, resultants."""
+descent, resultants, compositions over ZZ."""
 
+import random
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from bsdkit.fieldtower import (FieldTower, FieldTowerError, _TowerAlgebra,
-                               discriminant, extend_inert, is_inert,
-                               minimal_polynomial, optimise_discriminant,
-                               resultant, subfield_property_check)
-from bsdkit.rings import QQ, up, up_compose_mod
+import bsdkit.fieldtower as fieldtower
+from bsdkit.fieldtower import (FieldTower, FieldTowerError, _compose_mod,
+                               _TowerAlgebra, discriminant, extend_inert,
+                               is_inert, minimal_polynomial,
+                               optimise_discriminant, resultant,
+                               subfield_property_check)
+from bsdkit.rings import QQ, up, up_add, up_mod, up_mul
 
 uq = partial(up, QQ)
-uq_compose_mod = partial(up_compose_mod, QQ)
+
+
+def uq_compose_mod(a, b, mod):
+    """a(b) mod `mod` by Horner over Fractions: the oracle of _compose_mod."""
+    acc = ()
+    for c in reversed(a):
+        acc = up_mod(QQ, up_add(QQ, up_mul(QQ, acc, b), (c,)), mod)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,108 @@ class TestResultant:
     def test_discriminant_cubic(self):
         # disc(x^3+px+q) = -4p^3-27q^2
         assert discriminant((1, 1, 0, 1)) == -4 - 27
+
+    def test_discriminant_of_linear_and_repeated_root(self):
+        assert discriminant((5, 1)) == 1
+        assert discriminant((1, 2, 1)) == 0           # (x+1)^2
+        assert discriminant((0, 0, -1, 0, 1)) == 0    # x^2 (x^2 - 1)
+
+
+def _random_monic(rng, n, bits):
+    return tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)) + (1,)
+
+
+def test_discriminant_matches_sylvester():
+    # Res(f, f') as the (2n-1) x (2n-1) Sylvester determinant; a 512-bit
+    # Sylvester determinant of degree 24 alone takes about 3 s
+    rng = random.Random(2024)
+    cases = [(n, (1, 5, 64, 512 if n <= 12 else 128)[n % 4])
+             for n in range(1, 25)]
+    for n, bits in cases + [(24, 512)]:
+        f = _random_monic(rng, n, bits)
+        fp = tuple(i * f[i] for i in range(1, n + 1))
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        assert discriminant(f) == sign * resultant(f, fp), (n, bits)
+
+
+def _criterion9_polynomials():
+    tower = FieldTower(2, seed=1)
+    K = tower.base_node()
+    for ell in (2, 3, 2):
+        K = extend_inert(K, ell, 2)
+    polys = [node.defining_poly for node, _ in K.registry().values()]
+    polys.append(optimise_discriminant(K.defining_poly, 2, iterations=60,
+                                       seed=2).poly)
+    return polys
+
+
+def test_discriminant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    polys = _criterion9_polynomials()
+    assert sorted(len(f) - 1 for f in polys) == [1, 2, 3, 4, 6, 12, 12]
+    for f in polys:
+        expr = sum(c * x ** i for i, c in enumerate(f))
+        assert discriminant(f) == sympy.discriminant(expr, x), f
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_discriminant_is_one_n_by_n_determinant(monkeypatch, n):
+    shapes = []
+    rank_det = fieldtower.rank_det
+
+    def counted(M):
+        shapes.append((len(M), len(M[0])))
+        return rank_det(M)
+
+    monkeypatch.setattr(fieldtower, "rank_det", counted)
+    discriminant(_random_monic(random.Random(n), n, 16))
+    assert shapes == [(n, n)]
+
+
+# ---------------------------------------------------------------------------
+# compositions a(b) mod g over ZZ on cleared denominators
+
+def _random_rational_poly(rng, degree):
+    dens = (1, 2, -3, 7, -2 ** 61 + 1, 10 ** 30 + 7)
+    return uq([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+               for _ in range(degree + 1)])
+
+
+def test_compose_mod_matches_fraction_horner():
+    rng = random.Random(7)
+    for _ in range(300):
+        g = _random_monic(rng, rng.randint(1, 8), rng.choice((2, 40)))
+        a = _random_rational_poly(rng, rng.randint(-1, 9))
+        b = _random_rational_poly(rng, rng.randint(-1, len(g) + 3))
+        assert _compose_mod(a, b, g) == uq_compose_mod(a, b, uq(g)), \
+            (a, b, g)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((), ()),
+    ((), (Fraction(1, 3), 2)),
+    ((Fraction(-5, 4),), ()),
+    ((Fraction(-5, 4),), (7, Fraction(1, 9))),
+    ((1, Fraction(2, -3)), ()),
+    # deg b >= deg g
+    ((Fraction(1, 2), 0, 3), (0, 0, 0, Fraction(1, -6), 5)),
+    ((0, 0, 1), (Fraction(3, 10 ** 40), 0, 1, Fraction(-1, 7))),
+], ids=["a=b=0", "a=0", "const,b=0", "const", "b=0", "deg b>deg g",
+        "large den"])
+def test_compose_mod_edges(a, b):
+    g = (1, -1, 0, 1)                        # x^3 - x + 1
+    a, b = uq(a), uq(b)
+    got = _compose_mod(a, b, g)
+    assert got == uq_compose_mod(a, b, uq(g))
+    assert all(isinstance(c, Fraction) for c in got)
+
+
+@pytest.mark.parametrize("g", [(1, 2), (1, 0, -1), (Fraction(1, 2), 1), ()],
+                         ids=["lead 2", "lead -1", "half", "zero"])
+def test_compose_mod_needs_monic_integer_modulus(g):
+    with pytest.raises(FieldTowerError):
+        _compose_mod(uq((1, 2)), uq((0, 1)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +293,24 @@ def test_missing_registry_detected():
     K4.subfield_registry = broken
     ok, missing = subfield_property_check(K4)
     assert not ok and missing == [2]
+
+
+def test_wrong_witness_fails_the_registry_check(monkeypatch):
+    tower = FieldTower(2, seed=1)
+    K2 = extend_inert(tower.base_node(), 2, 2)
+    # sub's generator sent to 1, not a root of sub's defining polynomial
+    monkeypatch.setattr(FieldTower, "embed",
+                        lambda self, sub, node: uq((1,)) if sub.degree > 1
+                        else ())
+    with pytest.raises(FieldTowerError, match="failed verification"):
+        extend_inert(K2, 3, 2)
+
+
+def test_wrong_witness_detected():
+    tower = FieldTower(2, seed=1)
+    K6 = extend_inert(extend_inert(tower.base_node(), 2, 2), 3, 2)
+    reg = dict(K6.registry())
+    sub, w = reg[3]
+    reg[3] = (sub, up_add(QQ, w, uq((1,))))
+    K6.subfield_registry = reg
+    assert subfield_property_check(K6) == (False, [3])

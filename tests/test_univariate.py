@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bsdkit.rings import (QQ, CoefficientRing, up, up_add, up_compose_mod,
-                          up_divmod, up_gcd, up_is_irreducible,
-                          up_is_squarefree, up_mod, up_mul)
+from bsdkit.rings import (QQ, CoefficientRing, up, up_add, up_divmod, up_gcd,
+                          up_is_irreducible, up_is_squarefree, up_mod, up_mul)
 
 RINGS = {
     "GF(5)": CoefficientRing.GF(5),
@@ -59,13 +58,6 @@ def test_division_gcd_and_composition(name):
         assert not up_mod(R, up_mul(R, a, c), g)
         assert not up_mod(R, up_mul(R, b, c), g)
         assert not up_mod(R, g, c)
-        # a(b) mod m: Horner with reduction against expanding first
-        m = random_poly(R, rng, rng.randint(1, 4))
-        full, power = (), (R.one(),)
-        for coeff in a:
-            full = up_add(R, full, up_mul(R, (coeff,), power))
-            power = up_mul(R, power, b)
-        assert up_compose_mod(R, a, b, m) == up_mod(R, full, m)
 
 
 def test_qq_never_yields_floats():
