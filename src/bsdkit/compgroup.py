@@ -1,11 +1,13 @@
 """Component group and Tamagawa number from combinatorial fibre data.
 
 The special fibre of a regular model is given as components with
-multiplicities, a symmetric intersection matrix and a Frobenius
+multiplicities, a symmetric intersection matrix M and a Frobenius
 permutation.  The component group of the Jacobian's Neron model is
 ker(beta-bar)/im(alpha-bar): the integer kernel of the multiplicity
-vector modulo the column lattice of the intersection matrix.  The
-Tamagawa number c_p counts Frobenius-fixed elements.
+vector m modulo the column lattice of M.  As M·m = 0 and rank M = n - 1
+on a connected fibre, it is the torsion subgroup of coker M (Lorenzini,
+"Arithmetical graphs", Math. Ann. 285, 1989).  The Tamagawa number c_p
+counts Frobenius-fixed elements.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
-                     mat_mul, mat_vec, rank_det, smith_normal_form,
+                     mat_vec, rank_det, smith_normal_form,
                      solve_integer_matrix)
 from .rings import factorize
 
@@ -50,9 +52,9 @@ class SpecialFibre:
 @dataclass
 class FinAbGroupWithAction:
     invariant_factors: List[int]     # d_1 | d_2 | ..., each >= 2
-    generators: List[List[int]]      # columns, in ker beta-bar coordinates
-    action_matrix: List[List[int]]   # Frobenius on the generators
-    kernel_basis: List[List[int]]    # ker beta-bar basis (component coords)
+    generators: List[List[int]]      # g_t of order d_t in coker M, as
+    #                                  vectors in component coordinates
+    action_matrix: List[List[int]]   # column t: Frobenius image of g_t
 
     @property
     def order(self) -> int:
@@ -112,49 +114,24 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
     return out
 
 
-def _kernel_coordinates(F: SpecialFibre):
-    """Kernel basis B of the multiplicity vector, the relation matrix C
-    with B·C = intersection matrix (columns of C are im alpha-bar in
-    kernel coordinates) and the Frobenius A on kernel coordinates, with
-    B·A = P·B.  Both are solved together against one Smith form of B."""
-    n = len(F.components)
-    B = kernel_basis([F.multiplicities])          # n x (n-1)
-    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
-    PB: List[List[int]] = [[]] * n
-    for i in range(n):
-        PB[sigma[i]] = B[i]
-    M = F.intersections
-    X = solve_integer_matrix(B, [M[i] + PB[i] for i in range(n)])
-    if X is None:
-        if solve_integer_matrix(B, M) is None:
-            raise FibreError("intersection column is not in ker beta-bar "
-                             "(weighted row sums nonzero?)")
-        raise FibreError("frobenius does not preserve ker beta-bar")
-    C = [row[:n] for row in X]
-    A = [row[n:] for row in X]
-    return B, C, A
-
-
 def component_group(F: SpecialFibre) -> FinAbGroupWithAction:
+    """The torsion of coker M from one Smith form U·M·V = D: coordinate t
+    of U·x is cyclic of order d_t, so the generators are the columns of
+    U^-1 with d_t > 1 (t < n - 1; d_{n-1} = 0 is the free part) and the
+    Frobenius P·e_i = e_sigma(i) acts on them as U·P·U^-1."""
     diags = validate_fibre(F)
     if diags:
         raise FibreError("; ".join(diags))
     n = len(F.components)
-    if n == 1:
-        return FinAbGroupWithAction([], [], [], [[]])
-    B, C, A = _kernel_coordinates(F)
-    r = len(C)
-    D, U, V, Uinv = smith_normal_form(C)
-    diag = [D[t][t] for t in range(min(r, len(C[0])))]
-    if len(diag) < r or any(d == 0 for d in diag):
-        raise FibreError("component group is infinite (disconnected fibre)")
-    A_full = mat_mul(mat_mul(U, A), Uinv)
-    torsion = [t for t in range(r) if diag[t] > 1]
-    inv_factors = [diag[t] for t in torsion]
-    generators = [[Uinv[i][t] for i in range(r)] for t in torsion]
-    action = [[A_full[torsion[i]][torsion[j]] % inv_factors[i]
-               for j in range(len(torsion))] for i in range(len(torsion))]
-    return FinAbGroupWithAction(inv_factors, generators, action, B)
+    D, U, _, Uinv = smith_normal_form(F.intersections)
+    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+    torsion = [t for t in range(n - 1) if D[t][t] > 1]
+    generators = [[Uinv[i][t] for i in range(n)] for t in torsion]
+    # (U·P·U^-1)[s][t] = sum_i U[s][sigma(i)]·U^-1[i][t]
+    action = [[sum(U[s][sigma[i]] * Uinv[i][t] for i in range(n)) % D[s][s]
+               for t in torsion] for s in torsion]
+    return FinAbGroupWithAction([D[t][t] for t in torsion], generators,
+                                action)
 
 
 def tamagawa_number(F: SpecialFibre) -> int:
@@ -183,6 +160,29 @@ def fixed_point_count(G: FinAbGroupWithAction) -> int:
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
+
+
+def _kernel_coordinates(F: SpecialFibre):
+    """Kernel basis B of the multiplicity vector, the relation matrix C
+    with B·C = intersection matrix (columns of C are im alpha-bar in
+    kernel coordinates) and the Frobenius A on kernel coordinates, with
+    B·A = P·B.  Both are solved together against one Smith form of B."""
+    n = len(F.components)
+    B = kernel_basis([F.multiplicities])          # n x (n-1)
+    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+    PB: List[List[int]] = [[]] * n
+    for i in range(n):
+        PB[sigma[i]] = B[i]
+    M = F.intersections
+    X = solve_integer_matrix(B, [M[i] + PB[i] for i in range(n)])
+    if X is None:
+        if solve_integer_matrix(B, M) is None:
+            raise FibreError("intersection column is not in ker beta-bar "
+                             "(weighted row sums nonzero?)")
+        raise FibreError("frobenius does not preserve ker beta-bar")
+    C = [row[:n] for row in X]
+    A = [row[n:] for row in X]
+    return B, C, A
 
 
 @dataclass

@@ -172,9 +172,6 @@ class Polynomial:
             raise PolynomialError("zero polynomial has no leading term")
         return self.sorted_terms()[0]
 
-    def leading_monomial(self):
-        return self.leading_term()[0]
-
     def leading_coefficient(self):
         return self.leading_term()[1]
 
@@ -335,24 +332,6 @@ class Polynomial:
                 e2[i] = x
             terms[tuple(e2)] = c
         return Polynomial(self.ring, variables, terms, order or self.order)
-
-    def restrict_variables(self, variables) -> "Polynomial":
-        """Drop variables that do not occur; error if one occurs."""
-        variables = tuple(variables)
-        drop = [i for i, v in enumerate(self.variables) if v not in variables]
-        for e in self.terms:
-            if any(e[i] for i in drop):
-                raise PolynomialError("polynomial involves dropped variable")
-        keep = [i for i, v in enumerate(self.variables) if v in variables]
-        pos = {v: j for j, v in enumerate(variables)}
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(variables)
-            for i in keep:
-                e2[pos[self.variables[i]]] = e[i]
-            terms[tuple(e2)] = c
-        return Polynomial(self.ring, variables, terms, GREVLEX
-                          if self.order.kind == "block" else self.order)
 
     def evaluate(self, point):
         """Evaluate at a point given as {var: ring element}."""

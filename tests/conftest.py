@@ -1,9 +1,12 @@
 """Shared fixtures/helpers for the bsdkit test suite."""
 
 import os
+import random
 
 import pytest
 
+from bsdkit.compgroup import (Component, OrbitCluster, SpecialFibre,
+                              assemble_fibre, expand_orbit)
 from bsdkit.groebner import Ideal
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
 from bsdkit.rings import ZZ, CoefficientRing
@@ -42,6 +45,85 @@ def criterion2_locus():
                parse_polynomial("z", R, vs, GREVLEX),
                Polynomial.constant(R, vs, 2, GREVLEX)])
     return ComponentLocus(J, I, 2)
+
+
+def _cycle(n, p=7, rot=0):
+    comps = [Component(f"C{i}", 1) for i in range(n)]
+    if n == 1:
+        M = [[0]]
+    elif n == 2:
+        M = [[-2, 2], [2, -2]]
+    else:
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            M[i][i] = -2
+            M[i][(i + 1) % n] += 1
+            M[(i + 1) % n][i] += 1
+    frob = {f"C{i}": f"C{(i + rot) % n}" for i in range(n)}
+    return SpecialFibre(p, comps, M, frob)
+
+
+def criterion4_corpus():
+    """The criterion-4 fibres: every cycle with n <= 5 and every rotation,
+    the star, a multiplicity-2 pair and a doubled edge."""
+    out = []
+    for n in range(1, 6):
+        for rot in range(n):
+            out.append(_cycle(n, rot=rot))
+    out.append(SpecialFibre(
+        3,
+        [Component("C", 1), Component("A1", 1), Component("A2", 1),
+         Component("A3", 1)],
+        [[-3, 1, 1, 1], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]],
+        {"C": "C", "A1": "A2", "A2": "A3", "A3": "A1"}))
+    out.append(SpecialFibre(
+        2, [Component("A", 2), Component("B", 1)],
+        [[-1, 2], [2, -4]], {"A": "A", "B": "B"}))
+    # a larger cyclic group: cycle with a doubled edge
+    out.append(SpecialFibre(
+        5, [Component("A", 1), Component("B", 1)],
+        [[-4, 4], [4, -4]], {"A": "A", "B": "B"}))
+    return out
+
+
+def _random_cluster_fibre(rng):
+    m = rng.randint(1, 4)
+    # single cluster component with a single ambient link
+    link = rng.randint(1, 2)
+    cluster = OrbitCluster(
+        base_field_exponent=1, copies=m,
+        components=[Component("D", 1)],
+        internal_intersections=[[-m * link]],
+        internal_permutation={"D": "D"},
+        ambient_links={"D": {"E": link}})
+    frag = expand_orbit(cluster, {"E": "E"})
+    # row of D#i: -m*link + link*mult(E) = 0 needs mult(E) = m; row E:
+    # -link*m + m*link = 0
+    amb = Component("E", m)
+    return assemble_fibre(7, [amb], [[-link]], {"E": "E"}, frag)
+
+
+def _relabel(F, rng):
+    n = len(F.components)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    comps = [F.components[perm[i]] for i in range(n)]
+    M = [[F.intersections[perm[i]][perm[j]] for j in range(n)]
+         for i in range(n)]
+    frob = {c.id: F.frobenius[c.id] for c in comps}
+    return SpecialFibre(F.p, comps, M, frob)
+
+
+def criterion5_fibres():
+    """The criterion-5 fibres: 25 expanded clusters (m <= 4 copies cycled
+    by Frobenius, an ambient component of multiplicity m) drawn with
+    random.Random(21), each with three relabelings."""
+    rng = random.Random(21)
+    out = []
+    for _ in range(25):
+        F = _random_cluster_fibre(rng)
+        out.append((F, [_relabel(F, rng) for _ in range(3)]))
+    return out
 
 
 @pytest.fixture

@@ -13,9 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bsdkit.cli import main
-from bsdkit.compgroup import (Component, OrbitCluster, SpecialFibre,
-                              assemble_fibre, brute_force_component_group,
-                              component_group, expand_orbit,
+from bsdkit.compgroup import (brute_force_component_group, component_group,
                               tamagawa_number, validate_fibre)
 from bsdkit.fieldtower import (FieldTower, extend_inert, is_inert,
                                optimise_discriminant,
@@ -34,7 +32,8 @@ from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                               _direct_chain, _modified_chain,
                               vanishing_order, vanishing_order_truncated)
 
-from conftest import P, const, fixture_path, sect31_locus
+from conftest import (P, const, criterion4_corpus, criterion5_fibres,
+                      fixture_path, sect31_locus)
 
 
 # ---------------------------------------------------------------------------
@@ -160,46 +159,9 @@ def test_criterion_3_truncation_proposition():
 # ---------------------------------------------------------------------------
 # 4. Component-group oracle equivalence on the corpus, < 60 s.
 
-def _cycle(n, p=7, rot=0):
-    comps = [Component(f"C{i}", 1) for i in range(n)]
-    if n == 1:
-        M = [[0]]
-    elif n == 2:
-        M = [[-2, 2], [2, -2]]
-    else:
-        M = [[0] * n for _ in range(n)]
-        for i in range(n):
-            M[i][i] = -2
-            M[i][(i + 1) % n] += 1
-            M[(i + 1) % n][i] += 1
-    frob = {f"C{i}": f"C{(i + rot) % n}" for i in range(n)}
-    return SpecialFibre(p, comps, M, frob)
-
-
-def _corpus():
-    out = []
-    for n in range(1, 6):
-        for rot in range(n):
-            out.append(_cycle(n, rot=rot))
-    out.append(SpecialFibre(
-        3,
-        [Component("C", 1), Component("A1", 1), Component("A2", 1),
-         Component("A3", 1)],
-        [[-3, 1, 1, 1], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]],
-        {"C": "C", "A1": "A2", "A2": "A3", "A3": "A1"}))
-    out.append(SpecialFibre(
-        2, [Component("A", 2), Component("B", 1)],
-        [[-1, 2], [2, -4]], {"A": "A", "B": "B"}))
-    # a larger cyclic group: cycle with a doubled edge
-    out.append(SpecialFibre(
-        5, [Component("A", 1), Component("B", 1)],
-        [[-4, 4], [4, -4]], {"A": "A", "B": "B"}))
-    return out
-
-
 def test_criterion_4_oracle_equivalence():
     t0 = time.monotonic()
-    for F in _corpus():
+    for F in criterion4_corpus():
         assert validate_fibre(F) == []
         assert len(F.components) <= 5
         G = component_group(F)
@@ -214,46 +176,11 @@ def test_criterion_4_oracle_equivalence():
 # 5. Orbit expansion: assembled fibres validate; tamagawa invariant under
 #    relabeling; randomized clusters with m <= 4.
 
-def _random_cluster_fibre(rng):
-    m = rng.randint(1, 4)
-    # single cluster component with a single ambient link
-    link = rng.randint(1, 2)
-    cluster = OrbitCluster(
-        base_field_exponent=1, copies=m,
-        components=[Component("D", 1)],
-        internal_intersections=[[-m * link]],
-        internal_permutation={"D": "D"},
-        ambient_links={"D": {"E": link}})
-    frag = expand_orbit(cluster, {"E": "E"})
-    # ambient E: multiplicity m_E with m_E * s + m * link = 0
-    # choose m_E = m * link, s = -1
-    amb = Component("E", m * link)
-    # row of D#i: -m*link + link * (m*link) ... need mult(E)*<D,E> to
-    # cancel self-intersection: -m*link*1 + link*m_E = 0 -> m_E = m
-    amb = Component("E", m)
-    F = assemble_fibre(7, [amb], [[-link]], {"E": "E"}, frag)
-    return F
-
-
-def _relabel(F, rng):
-    n = len(F.components)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    comps = [F.components[perm[i]] for i in range(n)]
-    M = [[F.intersections[perm[i]][perm[j]] for j in range(n)]
-         for i in range(n)]
-    frob = {c.id: F.frobenius[c.id] for c in comps}
-    return SpecialFibre(F.p, comps, M, frob)
-
-
 def test_criterion_5_orbit_expansion():
-    rng = random.Random(21)
-    for _ in range(25):
-        F = _random_cluster_fibre(rng)
+    for F, relabelings in criterion5_fibres():
         assert validate_fibre(F) == [], F
         c = tamagawa_number(F)
-        for _ in range(3):
-            G = _relabel(F, rng)
+        for G in relabelings:
             assert tamagawa_number(G) == c
 
 

@@ -19,6 +19,8 @@ from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            rank_det, smith_normal_form, solve_integer,
                            solve_integer_matrix)
 
+from conftest import criterion4_corpus, criterion5_fibres
+
 
 def cycle_fibre(n, p=7, rot=0, mults=None):
     mults = mults or [1] * n
@@ -110,10 +112,16 @@ class TestComponentGroup:
             oracle.invariant_factors
 
     def test_multiplicity_two_config(self):
-        G = component_group(MULT2)
-        oracle = brute_force_component_group(MULT2)
-        assert G.invariant_factors == oracle.invariant_factors
-        assert tamagawa_number(MULT2) == oracle.fixed_point_count
+        # the criterion-5 clusters join multiplicities above 1 to a
+        # Frobenius that cycles the copies
+        fibres = [MULT2]
+        for F, relabelings in criterion5_fibres():
+            fibres += [F] + relabelings
+        for F in fibres:
+            G = component_group(F)
+            oracle = brute_force_component_group(F)
+            assert G.invariant_factors == oracle.invariant_factors, F
+            assert tamagawa_number(F) == oracle.fixed_point_count, F
 
     def test_cycle_family_against_oracle(self):
         for n in range(1, 13):
@@ -216,22 +224,27 @@ def test_shuffled_orders_match_oracle():
 
 
 def test_component_group_factors_each_matrix_once(monkeypatch):
+    # one Smith form, of the intersection matrix itself, and no Hermite
+    # form, kernel or lattice solve
     calls = []
 
-    def counting(A):
-        calls.append(len(A))
-        return smith_normal_form(A)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr("bsdkit.intmat.smith_normal_form", counting)
-    monkeypatch.setattr("bsdkit.compgroup.smith_normal_form", counting)
-    for n in (2, 5, 12, 30):
-        calls.clear()
-        component_group(cycle_fibre(n, rot=1))
-        assert len(calls) <= 2, (n, calls)
+    for fn in (smith_normal_form, hermite_normal_form, kernel_basis,
+               solve_integer_matrix):
+        wrapped = counting(fn.__name__, fn)
+        for module in ("bsdkit.intmat", "bsdkit.compgroup"):
+            monkeypatch.setattr(f"{module}.{fn.__name__}", wrapped)
     n, edges, _ = theta_edges(6, 6, 5)
-    calls.clear()
-    component_group(graph_fibre(n, edges, list(range(n)), shuffled(n, 0)))
-    assert len(calls) <= 2, calls
+    for F in [cycle_fibre(k, rot=1) for k in (2, 5, 12, 30)] + \
+            [graph_fibre(n, edges, list(range(n)), shuffled(n, 0))]:
+        calls.clear()
+        component_group(F)
+        assert calls == [("smith_normal_form", F.intersections)], calls
 
 
 def test_snf_inverse_on_shuffled_theta():
@@ -240,12 +253,46 @@ def test_snf_inverse_on_shuffled_theta():
     n, edges, _ = theta_edges(24, 24, 2)
     F = graph_fibre(n, edges, list(range(n)), shuffled(n, 0))
     _, C, _ = _kernel_coordinates(F)
-    D, U, V, U_inv = smith_normal_form(C)
-    assert mat_mul(mat_mul(U, C), V) == D
-    assert mat_mul(U, U_inv) == identity(len(C))
+    for A in (C, F.intersections):
+        D, U, V, U_inv = smith_normal_form(A)
+        assert mat_mul(mat_mul(U, A), V) == D
+        assert mat_mul(U, U_inv) == identity(len(A))
     G = component_group(F)
     assert G.invariant_factors == [2, 336]
     assert fixed_point_count(G) == 24 * 24 + 2 * 24 * 2
+
+
+def in_image(M, v):
+    return solve_integer_matrix(M, [[x] for x in v]) is not None
+
+
+def test_generators_have_the_stated_orders_and_action():
+    """Each generator g_t lies in ker beta-bar, has order d_t in coker M,
+    and P·g_t - sum_s action[s][t]·g_s lies in im M."""
+    fibres = criterion4_corpus()
+    for F, relabelings in criterion5_fibres():
+        fibres += [F] + relabelings
+    for n, edges, sigma, _ in graph_family():
+        fibres += [graph_fibre(n, edges, sigma, shuffled(n, seed))
+                   for seed in range(3)]
+    for F in fibres:
+        G = component_group(F)
+        M, m, n = F.intersections, F.multiplicities, len(F.components)
+        sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+        gens = G.generators
+        for t, (g, d) in enumerate(zip(gens, G.invariant_factors)):
+            assert len(g) == n and sum(a * x for a, x in zip(m, g)) == 0
+            assert in_image(M, [d * x for x in g]), (F, t)
+            for k in range(1, d):
+                if d % k == 0:
+                    assert not in_image(M, [k * x for x in g]), (F, t, k)
+            image = [0] * n
+            for i in range(n):
+                image[sigma[i]] = g[i]
+            for s, h in enumerate(gens):
+                a = G.action_matrix[s][t]
+                image = [x - a * y for x, y in zip(image, h)]
+            assert in_image(M, image), (F, t)
 
 
 def test_snf_inverse_on_random_matrices():

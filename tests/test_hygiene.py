@@ -1,8 +1,10 @@
 """Source hygiene: every name a bsdkit module imports is used in it, every
-module it imports is in the standard library or bsdkit itself, and every
-private module-level function or class is used somewhere."""
+module it imports is in the standard library or bsdkit itself, every
+private module-level function or class is used somewhere, and every
+function the perfbench tracer wraps exists."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bsdkit"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str):
@@ -120,3 +123,45 @@ def test_detects_unreferenced_private_helper():
                  "setattr(a, '_Patched', None)\n"),
     }
     assert unreferenced_private(sources) == [("a.py", 5, "_dead")]
+
+
+def unresolved_targets(targets):
+    """(module, name) for each traced name in a {layer: (module, names)}
+    map that the module does not define: a module attribute, or
+    "Class.method" with the method in the class's own namespace."""
+    out = []
+    for module, names in targets.values():
+        mod = importlib.import_module(module)
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            if owner:
+                cls = getattr(mod, owner, None)
+                found = attr in getattr(cls, "__dict__", ())
+            else:
+                found = hasattr(mod, attr)
+            if not found:
+                out.append((module, name))
+    return out
+
+
+def tracing_targets():
+    """TARGETS of perfbench/tracing.py, read from its source without
+    importing or running it."""
+    for stmt in ast.parse(TRACING.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"no TARGETS in {TRACING}")
+
+
+def test_traced_names_exist():
+    assert unresolved_targets(tracing_targets()) == []
+
+
+def test_detects_unresolved_target():
+    targets = {"intmat": ("bsdkit.intmat", ["smith_normal_form", "gone"]),
+               "groebner": ("bsdkit.groebner", [
+                   "Ideal.groebner_basis", "Ideal.gone", "Gone.method"])}
+    assert unresolved_targets(targets) == [
+        ("bsdkit.intmat", "gone"), ("bsdkit.groebner", "Ideal.gone"),
+        ("bsdkit.groebner", "Gone.method")]
