@@ -5,21 +5,22 @@ ZZ/p^e leading coefficients are normalized to powers of p and annihilator
 polynomials p^(e-k) * f are adjoined instead of G-polynomials.  Reduction
 is Euclidean on coefficients (remainder in [0, lc)), so membership of f
 in an ideal is equivalent to normal form 0 against a strong basis.
+Inside this module a monomial is one packed int (``_Packing``): a
+polynomial is packed where it enters and unpacked where it leaves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (GREVLEX, MonomialOrder, Polynomial, exp_div, exp_divides,
-                   exp_lcm, exp_mul, exact_divide)
+from .poly import GREVLEX, MonomialOrder, Polynomial, exact_divide
 from .rings import CoefficientRing, xgcd
 
 DEFAULT_MAX_PAIRS = 10 ** 6
 DEFAULT_MAX_DEGREE = 400
-REDUCED_BASIS_MAX_PASSES = 100   # tail-reduction passes of _reduced_basis
 
 
 class GroebnerError(Exception):
@@ -37,43 +38,6 @@ class BudgetExceededError(GroebnerError):
 def _check_ring(ring: CoefficientRing):
     if ring.kind not in ("ZZ", "Zmod", "GF", "GFext"):
         raise UnsupportedRingError(f"no Groebner bases over {ring!r}")
-
-
-# ---------------------------------------------------------------------------
-# basis entries
-
-
-class _Entry:
-    __slots__ = ("terms", "lm", "lc", "cof", "packed")
-
-    def __init__(self, terms, lm, lc, cof=None):
-        self.terms = terms   # full dict, including the leading term
-        self.lm = lm
-        self.lc = lc
-        self.cof = cof       # optional cofactor dict (expression in f)
-        self.packed = None   # (packing, lm, terms, cof), see _packed_entry
-
-
-def _leading(terms: dict, key):
-    lm = min(terms, key=key)
-    return lm, terms[lm]
-
-
-def _normalize(ring, terms: dict, cof: Optional[dict], key):
-    """Scale so the leading coefficient is monic / positive / a power of p."""
-    lm, lc = _leading(terms, key)
-    if ring.is_field():
-        u = ring.inv(lc)
-    elif ring.kind == "ZZ":
-        u = 1 if lc > 0 else -1
-    else:
-        _, unit = ring.unit_val(lc)
-        u = pow(unit, -1, ring.m)
-    if u != ring.one():
-        terms = {e: ring.mul(c, u) for e, c in terms.items()}
-        if cof is not None:
-            cof = {e: ring.mul(c, u) for e, c in cof.items()}
-    return _Entry(terms, lm, terms[lm], cof)
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +67,23 @@ def _weight_rows(order: MonomialOrder, nvars: int) -> List[List[int]]:
 class _Packing:
     """Exponent vectors packed into one int that orders like ``order``.
 
-    Fields, most significant first: the order's weight rows, then the raw
-    exponents.  Every field is linear in the exponents, so a monomial
+    Fields, most significant first: the order's weight rows, the raw
+    exponents, then the total degree (``m & low``), which never decides a
+    comparison.  Every field is linear in the exponents, so a monomial
     product is an int add, comparing ints compares monomials, and a
     divides b iff b - a sets no field's guard bit (Monagan & Pearce).
-    Polynomials keep exponents below ``MAX_EXPONENT``, so a field
-    reaches its guard bit only if a reduction grows far past that;
-    ``unpack`` then raises instead of misreading it.
+    Polynomials keep exponents below ``MAX_EXPONENT`` and bases keep the
+    degree below the cap, so a field reaches its guard bit only if a
+    reduction grows far past that; ``unpack`` then raises instead of
+    misreading it.
     """
 
     _cache: Dict[Tuple[MonomialOrder, int], "_Packing"] = {}
 
     def __init__(self, order: MonomialOrder, nvars: int):
         rows = _weight_rows(order, nvars) + [
-            [1 if i == k else 0 for i in range(nvars)] for k in range(nvars)]
+            [1 if i == k else 0 for i in range(nvars)]
+            for k in range(nvars)] + [[1] * nvars]
         top = len(rows) - 1
         self.nvars = nvars
         self.cols = [sum(row[i] << (_FIELD * (top - r))
@@ -124,6 +91,7 @@ class _Packing:
                      for i in range(nvars)]
         self.guards = sum(1 << (_FIELD * r + _FIELD - 1)
                           for r in range(len(rows)))
+        self.low = (1 << _FIELD) - 1
 
     @staticmethod
     def of(order: MonomialOrder, nvars: int) -> "_Packing":
@@ -133,14 +101,14 @@ class _Packing:
         return pk
 
     def pack(self, e) -> int:
-        return sum(x * c for x, c in zip(e, self.cols))
+        return sum(map(operator.mul, e, self.cols))
 
     def unpack(self, m: int) -> Tuple[int, ...]:
         if m & self.guards:
             raise BudgetExceededError("exponent overflows its packed field")
-        low = (1 << _FIELD) - 1
+        low = self.low
         n = self.nvars
-        return tuple((m >> (_FIELD * (n - 1 - i))) & low for i in range(n))
+        return tuple((m >> (_FIELD * (n - i))) & low for i in range(n))
 
     def pack_dict(self, terms: dict) -> dict:
         pack = self.pack
@@ -151,17 +119,41 @@ class _Packing:
         return {unpack(m): c for m, c in terms.items()}
 
 
-def _packed_entry(g: _Entry, pk: _Packing):
-    """(packing, lm, [(monomial, coeff)], cofactor pairs) of g, cached."""
-    data = g.packed
-    if data is None or data[0] is not pk:
-        pack = pk.pack
-        cof = (None if g.cof is None
-               else [(pack(e), c) for e, c in g.cof.items()])
-        data = (pk, pack(g.lm), [(pack(e), c) for e, c in g.terms.items()],
-                cof)
-        g.packed = data
-    return data
+# ---------------------------------------------------------------------------
+# basis entries
+
+
+class _Entry:
+    """A basis element on packed monomials: ``terms`` and the cofactor
+    ``cof`` map packed monomials to coefficients, ``lm`` is the largest
+    of ``terms`` and ``exp`` its exponent tuple."""
+
+    __slots__ = ("terms", "lm", "lc", "cof", "exp")
+
+    def __init__(self, terms, lm, lc, cof, exp):
+        self.terms = terms   # full dict, including the leading term
+        self.lm = lm
+        self.lc = lc
+        self.cof = cof       # optional cofactor dict (expression in f)
+        self.exp = exp
+
+
+def _normalize(ring, pk: _Packing, terms: dict, cof: Optional[dict]):
+    """Scale so the leading coefficient is monic / positive / a power of p."""
+    lm = max(terms)
+    lc = terms[lm]
+    if ring.is_field():
+        u = ring.inv(lc)
+    elif ring.kind == "ZZ":
+        u = 1 if lc > 0 else -1
+    else:
+        _, unit = ring.unit_val(lc)
+        u = pow(unit, -1, ring.m)
+    if u != ring.one():
+        terms = {e: ring.mul(c, u) for e, c in terms.items()}
+        if cof is not None:
+            cof = {e: ring.mul(c, u) for e, c in cof.items()}
+    return _Entry(terms, lm, terms[lm], cof, pk.unpack(lm))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,7 @@ def _rank(ring, g: _Entry):
 
 
 class _Reducers:
-    """Basis entries in packed form, with their divisors cached per monomial.
+    """Basis entries with their divisors cached per monomial.
 
     ``divisors(m)`` lists (rank, (lc, inverse of lc or None, lm, terms,
     cofactor terms)) for the entries whose leading monomial divides m,
@@ -201,10 +193,9 @@ class _Reducers:
             self.add(g)
 
     def add(self, g: _Entry):
-        _, lm, terms, cof = _packed_entry(g, self.pk)
         inv = self.ring.inv(g.lc) if self.ring.is_field() else None
         self.added.append(((_rank(self.ring, g), len(self.added)),
-                           (g.lc, inv, lm, terms, cof)))
+                           (g.lc, inv, g.lm, g.terms, g.cof)))
 
     def divisors(self, m: int) -> list:
         start, found = self._cache.get(m, (0, []))
@@ -218,25 +209,15 @@ class _Reducers:
         return found
 
 
-def _reduce(ring, order: MonomialOrder, work_terms: dict, basis,
-            cof: Optional[dict] = None, basis_cofs: bool = False):
-    """Normal form of work_terms against basis (destructive on a copy).
+def _reduce(ring, work_terms: dict, basis: _Reducers,
+            cof: Optional[dict] = None) -> dict:
+    """Normal form of the packed work_terms against basis.
 
-    ``basis`` is a sequence of entries or a :class:`_Reducers` built
-    under ``order``.  If ``cof`` is given, it is updated so that input =
-    output + (sum of basis multiples expressed through the entries'
-    cofactors).
+    If ``cof`` is given, it is updated in place so that input = output +
+    (sum of basis multiples expressed through the entries' cofactors).
     """
-    if not work_terms:
-        return {}
-    if not isinstance(basis, _Reducers):
-        nvars = len(next(iter(work_terms)))
-        basis = _Reducers(ring, _Packing.of(order, nvars), basis)
-    pk = basis.pk
     divisors = basis.divisors
-    work = pk.pack_dict(work_terms)
-    track = cof is not None and basis_cofs
-    pcof = pk.pack_dict(cof) if track else None
+    work = dict(work_terms)
     out: Dict[int, object] = {}
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -262,7 +243,7 @@ def _reduce(ring, order: MonomialOrder, work_terms: dict, basis,
                 break
             delta = e - lm
             if is_zmod:
-                for ge, gc in terms:
+                for ge, gc in terms.items():
                     te = ge + delta
                     cur = work.get(te)
                     nc = ((cur if cur is not None else 0) - q * gc) % mod
@@ -274,7 +255,7 @@ def _reduce(ring, order: MonomialOrder, work_terms: dict, basis,
                     elif cur is not None:
                         del work[te]
             else:
-                for ge, gc in terms:
+                for ge, gc in terms.items():
                     te = ge + delta
                     d = ring.mul(q, gc)
                     cur = work.get(te)
@@ -286,53 +267,45 @@ def _reduce(ring, order: MonomialOrder, work_terms: dict, basis,
                         if te not in seen:
                             seen.add(te)
                             push(heap, -te)
-            if track:
+            if cof is not None:
                 # maintain: current value = cof * f  (so subtract q * cof_g)
-                for ce, cc in gcof:
+                for ce, cc in gcof.items():
                     te = ce + delta
                     d = ring.mul(q, cc)
-                    cur = pcof.get(te)
+                    cur = cof.get(te)
                     nc = ring.sub(cur, d) if cur is not None else ring.neg(d)
                     if ring.is_zero(nc):
-                        pcof.pop(te, None)
+                        cof.pop(te, None)
                     else:
-                        pcof[te] = nc
+                        cof[te] = nc
             c = work.get(e)
             if c is None:
                 break
         if c is not None:
             out[e] = c
             del work[e]
-    if track:
-        cof.clear()
-        cof.update(pk.unpack_dict(pcof))
-    return pk.unpack_dict(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Buchberger completion
 
 
-def _scale_shift(ring, terms, c, delta):
-    out = {}
-    for e, x in terms.items():
-        y = ring.mul(x, c)
-        if not ring.is_zero(y):
-            out[exp_mul(e, delta)] = y
+def _shift_add(ring, parts) -> dict:
+    """The sum of c * x^d * terms over (terms, c, d) in parts."""
+    out: Dict[int, object] = {}
+    for terms, c, d in parts:
+        for e, x in terms.items():
+            e += d
+            y = ring.mul(x, c)
+            cur = out.get(e)
+            if cur is not None:
+                y = ring.add(cur, y)
+            if ring.is_zero(y):
+                out.pop(e, None)
+            else:
+                out[e] = y
     return out
-
-
-def _add_into(ring, acc, terms, sign=1):
-    for e, c in terms.items():
-        if sign < 0:
-            c = ring.neg(c)
-        cur = acc.get(e)
-        nc = ring.add(cur, c) if cur is not None else c
-        if ring.is_zero(nc):
-            acc.pop(e, None)
-        else:
-            acc[e] = nc
-    return acc
 
 
 def _buchberger(gens: Sequence[Polynomial], ring, order,
@@ -349,26 +322,25 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_degree = max_degree or DEFAULT_MAX_DEGREE
-    key = order.sort_key
     is_field = ring.is_field()
     is_zz = ring.kind == "ZZ"
     is_chain = ring.kind == "Zmod"
+    if track and len(gens) != 1:
+        raise GroebnerError("cofactor tracking is for principal ideals")
+    pk = _Packing.of(order, len(gens[0].variables) if gens else 0)
+    pack, guards, low = pk.pack, pk.guards, pk.low
 
     G: List[_Entry] = []
-    nvars = None
     n_known = 0   # entries of G that come from gens[:known]
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
         n_known += i < known
-        nvars = len(g.variables)
-        cof = {(0,) * nvars: ring.one()} if track else None
-        if track and len(gens) != 1:
-            raise GroebnerError("cofactor tracking is for principal ideals")
-        G.append(_normalize(ring, dict(g.terms), cof, key))
-    R = _Reducers(ring, _Packing.of(order, nvars or 0), G)
+        cof = {0: ring.one()} if track else None   # 0 packs the monomial 1
+        G.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
+    R = _Reducers(ring, pk, G)
 
-    pairs: List[Tuple] = []   # heap of (degree, key(lcm), i, j)
+    pairs: List[Tuple] = []   # heap of (degree, -lcm, i, j)
     alive: set = set()        # surviving (i, j) pairs
     pair_T: Dict[Tuple[int, int], Tuple] = {}  # (i, j) -> (v, lcm monomial)
     ann_queue: List[int] = []
@@ -381,13 +353,13 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     vals: List[int] = []
 
     def pair_term(i, j):
-        return (max(vals[i], vals[j]), exp_lcm(G[i].lm, G[j].lm))
+        return (max(vals[i], vals[j]), pack(map(max, G[i].exp, G[j].exp)))
 
-    def push_pair(i, j):
-        v, L = pair_term(i, j)
+    def push_pair(i, j, T):
         alive.add((i, j))
-        pair_T[(i, j)] = (v, L)
-        heapq.heappush(pairs, (sum(L), key(L), i, j))
+        pair_T[(i, j)] = T
+        L = T[1]
+        heapq.heappush(pairs, (L & low, -L, i, j))
 
     # Gebauer-Moller update: leading terms include the p-valuation of the
     # leading coefficient, so term divisibility is (v_k <= v, lm_k | L).
@@ -400,45 +372,32 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         G.append(entry)
         R.add(entry)
         vals.append(lead_val(entry))
+        new_T = [pair_term(i, idx) for i in range(idx)]
         if use_gm:
             vn, lmn = vals[idx], entry.lm
             # drop old pairs whose lcm-term is properly covered by idx
             for (i, j) in list(alive):
-                vij, Lij = pair_T[(i, j)]
-                if vn <= vij and exp_divides(lmn, Lij):
-                    Tin = pair_term(i, idx)
-                    Tjn = pair_term(j, idx)
-                    if Tin != (vij, Lij) and Tjn != (vij, Lij):
-                        alive.discard((i, j))
-                        del pair_T[(i, j)]
+                T = pair_T[(i, j)]
+                if vn <= T[0] and not (T[1] - lmn) & guards \
+                        and new_T[i] != T and new_T[j] != T:
+                    alive.discard((i, j))
+                    del pair_T[(i, j)]
             # new pairs (i, idx), pruned by the M/F/B criteria
-            cand = []
-            for i in range(idx):
-                cand.append((i,) + pair_term(i, idx))
-            keep: List[Tuple] = []
-            for (i, v, L) in cand:
-                dominated = False
-                for (j, w, M) in cand:
-                    if j == i:
-                        continue
-                    if w <= v and exp_divides(M, L) and (w, M) != (v, L):
-                        dominated = True
-                        break
-                if not dominated:
-                    keep.append((i, v, L))
             seen_T = set()
-            for (i, v, L) in keep:
+            for i, (v, L) in enumerate(new_T):
+                if any(w <= v and not (L - M) & guards and (w, M) != (v, L)
+                       for j, (w, M) in enumerate(new_T) if j != i):
+                    continue
                 if (v, L) in seen_T:
                     continue
                 seen_T.add((v, L))
                 # product criterion: unit leads and coprime monomials
-                if vals[i] == 0 and vn == 0 and \
-                        L == exp_mul(G[i].lm, lmn):
+                if vals[i] == 0 and vn == 0 and L == G[i].lm + lmn:
                     continue
-                push_pair(i, idx)
+                push_pair(i, idx, (v, L))
         else:
             for i in range(idx):
-                push_pair(i, idx)
+                push_pair(i, idx, new_T[i])
         if is_chain:
             if vals[idx] > 0:
                 ann_queue.append(idx)
@@ -448,7 +407,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     vals = [lead_val(G[i]) for i in range(n0)]
     for i in range(n0):
         for j in range(max(i + 1, n_known), n0):
-            push_pair(i, j)
+            push_pair(i, j, pair_term(i, j))
     if is_chain:
         for i in range(n_known, n0):
             if vals[i] > 0:
@@ -456,42 +415,39 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     processed = 0
 
-    def consider(terms, cof):
-        nonlocal processed
+    def consider(parts, cof_parts):
+        terms = _shift_add(ring, parts)
         if not terms:
             return
-        red_cof = dict(cof) if track else None
-        nf = _reduce(ring, order, terms, R, red_cof, basis_cofs=track)
+        cof = _shift_add(ring, cof_parts) if track else None
+        nf = _reduce(ring, terms, R, cof)
         if not nf:
             return
-        if max(sum(e) for e in nf) > max_degree:
+        if max(m & low for m in nf) > max_degree:
             raise BudgetExceededError(
                 f"total degree exceeds cap {max_degree}")
-        push_elem(_normalize(ring, nf, red_cof, key))
+        push_elem(_normalize(ring, pk, nf, cof))
 
     while pairs or ann_queue:
         if ann_queue:
-            i = ann_queue.pop()
-            v, _ = ring.unit_val(G[i].lc)
+            f = G[ann_queue.pop()]
+            v, _ = ring.unit_val(f.lc)
             a = ring.coerce(ring.p ** (ring.e - v))
-            terms = _scale_shift(ring, G[i].terms, a, (0,) * nvars)
-            cof = (_scale_shift(ring, G[i].cof, a, (0,) * nvars)
-                   if track else None)
-            consider(terms, cof)
+            consider([(f.terms, a, 0)], [(f.cof, a, 0)])
             continue
-        _, _, i, j = heapq.heappop(pairs)
+        _, L, i, j = heapq.heappop(pairs)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
-        pair_T.pop((i, j), None)
+        del pair_T[(i, j)]
         processed += 1
         if processed > max_pairs:
             raise BudgetExceededError(f"pair count exceeds cap {max_pairs}")
         f, g = G[i], G[j]
-        L = exp_lcm(f.lm, g.lm)
-        if is_field and L == exp_mul(f.lm, g.lm):
+        L = -L
+        if is_field and L == f.lm + g.lm:
             continue  # product criterion (fields only)
-        df, dg = exp_div(L, f.lm), exp_div(L, g.lm)
+        df, dg = L - f.lm, L - g.lm
         if is_field:
             cf, cg = ring.one(), ring.one()
         elif is_zz:
@@ -503,77 +459,46 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             v = max(vf, vg)
             cf = ring.coerce(ring.p ** (v - vf))
             cg = ring.coerce(ring.p ** (v - vg))
-        s = _scale_shift(ring, f.terms, cf, df)
-        _add_into(ring, s, _scale_shift(ring, g.terms, cg, dg), sign=-1)
-        scof = None
-        if track:
-            scof = _scale_shift(ring, f.cof, cf, df)
-            _add_into(ring, scof, _scale_shift(ring, g.cof, cg, dg), sign=-1)
-        consider(s, scof)
+        cg = ring.neg(cg)
+        consider([(f.terms, cf, df), (g.terms, cg, dg)],
+                 [(f.cof, cf, df), (g.cof, cg, dg)])
         if is_zz and f.lc % g.lc != 0 and g.lc % f.lc != 0:
             _, u, v = xgcd(f.lc, g.lc)
-            t = _scale_shift(ring, f.terms, u, df)
-            _add_into(ring, t, _scale_shift(ring, g.terms, v, dg))
-            tcof = None
-            if track:
-                tcof = _scale_shift(ring, f.cof, u, df)
-                _add_into(ring, tcof, _scale_shift(ring, g.cof, v, dg))
-            consider(t, tcof)
+            consider([(f.terms, u, df), (g.terms, v, dg)],
+                     [(f.cof, u, df), (g.cof, v, dg)])
     return G
-
-
-def _term_divides(ring, lt_a, lt_b) -> bool:
-    """Whether lt_a divides lt_b as a term (monomial and coefficient)."""
-    (ea, ca), (eb, cb) = lt_a, lt_b
-    return exp_divides(ea, eb) and ring.divides(ca, cb)
 
 
 def _reduced_basis(ring, order: MonomialOrder, G: List[_Entry],
                    track=False) -> List[_Entry]:
-    key = order.sort_key
+    if not G:
+        return []
+    pk = _Packing.of(order, len(G[0].exp))
+    guards = pk.guards
     # drop entries whose leading term is term-divisible by another's
-    kept: List[_Entry] = []
-    order_idx = sorted(range(len(G)), key=lambda i: (key(G[i].lm), i))
+    order_idx = sorted(range(len(G)), key=lambda i: (-G[i].lm, i))
     removed = [False] * len(G)
     for i in order_idx:
         for j in order_idx:
             if i == j or removed[j]:
                 continue
-            if _term_divides(ring, (G[j].lm, G[j].lc), (G[i].lm, G[i].lc)):
+            if not (G[i].lm - G[j].lm) & guards \
+                    and ring.divides(G[j].lc, G[i].lc):
                 if G[j].lm == G[i].lm and G[j].lc == G[i].lc and j > i:
                     continue  # identical leading terms: keep the earlier one
                 removed[i] = True
                 break
     kept = [G[i] for i in order_idx if not removed[i]]
-    # tail-reduce each against the others until stable
-    changed = True
-    passes = 0
-    while changed:
-        if passes == REDUCED_BASIS_MAX_PASSES:
-            raise BudgetExceededError(
-                f"_reduced_basis: tail reduction not stable after "
-                f"{passes} passes")
-        changed = False
-        passes += 1
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            cof = dict(kept[i].cof) if track else None
-            # reduce only the tail so the leading term is preserved;
-            # minimality already guarantees the lead is irreducible
-            nf = _reduce(ring, order, kept[i].terms, others, cof,
-                         basis_cofs=track)
-            if nf != kept[i].terms:
-                changed = True
-                if not nf:
-                    kept = kept[:i] + kept[i + 1:]
-                    break
-                # cofactor update direction: entry = nf means
-                # original = nf + sum(multiples); keep cof consistent
-                if track:
-                    kept[i] = _normalize(ring, nf, cof, key)
-                else:
-                    kept[i] = _normalize(ring, nf, None, key)
-    kept.sort(key=lambda en: key(en.lm))
+    # tail-reduce each against the others, once: a tail term lies below
+    # the entry's own leading monomial, so the normal form against the
+    # others is the unique one against the strong basis, and a second
+    # pass would change nothing.  Minimality keeps each lead irreducible.
+    for i, g in enumerate(kept):
+        cof = dict(g.cof) if track else None
+        others = _Reducers(ring, pk, kept[:i] + kept[i + 1:])
+        nf = _reduce(ring, g.terms, others, cof)
+        if nf != g.terms:
+            kept[i] = _normalize(ring, pk, nf, cof)
     return kept
 
 
@@ -596,7 +521,7 @@ class Ideal:
             self.variables = generators[0].variables
             self.order = order or generators[0].order
             self.generators = ()
-            self._gb = ()
+            self._gb = self._entries = ()
             return
         ring = gens[0].ring
         variables = gens[0].variables
@@ -608,6 +533,7 @@ class Ideal:
         self.order = order or gens[0].order
         self.generators = tuple(g.with_order(self.order) for g in gens)
         self._gb: Optional[Tuple[Polynomial, ...]] = None
+        self._entries: Tuple[_Entry, ...] = ()   # _gb on packed monomials
 
     @staticmethod
     def zero_ideal(ring, variables, order=GREVLEX) -> "Ideal":
@@ -616,7 +542,7 @@ class Ideal:
         ideal.variables = tuple(variables)
         ideal.order = order
         ideal.generators = ()
-        ideal._gb = ()
+        ideal._gb = ideal._entries = ()
         return ideal
 
     def is_zero(self) -> bool:
@@ -626,12 +552,17 @@ class Ideal:
         if self._gb is None:
             entries = _buchberger(self.generators, self.ring, self.order,
                                   max_pairs, max_degree)
-            entries = _reduced_basis(self.ring, self.order, entries)
+            self._entries = tuple(
+                _reduced_basis(self.ring, self.order, entries))
+            pk = self._packing()
             self._gb = tuple(
-                Polynomial(self.ring, self.variables, dict(e.terms),
-                           self.order)
-                for e in entries)
+                Polynomial(self.ring, self.variables,
+                           pk.unpack_dict(e.terms), self.order)
+                for e in self._entries)
         return list(self._gb)
+
+    def _packing(self) -> _Packing:
+        return _Packing.of(self.order, len(self.variables))
 
     def interreduced(self, max_pairs=None, max_degree=None) -> "Ideal":
         """The same ideal, but generated by its reduced strong basis.
@@ -643,7 +574,7 @@ class Ideal:
         if not gb:
             return self
         K = Ideal(gb, order=self.order)
-        K._gb = self._gb
+        K._gb, K._entries = self._gb, self._entries
         return K
 
     def __repr__(self):
@@ -660,15 +591,11 @@ def normal_form(f: Polynomial, I: Ideal, max_pairs=None,
                 max_degree=None) -> Polynomial:
     if I.is_zero():
         return f
-    gb = I.groebner_basis(max_pairs, max_degree)
-    key = I.order.sort_key
-    entries = []
-    for g in gb:
-        lm, lc = _leading(g.terms, key)
-        entries.append(_Entry(dict(g.terms), lm, lc))
-    nf = _reduce(I.ring, I.order, dict(f.with_order(I.order).terms),
-                 entries)
-    return Polynomial(I.ring, I.variables, nf, I.order)
+    I.groebner_basis(max_pairs, max_degree)
+    pk = I._packing()
+    nf = _reduce(I.ring, pk.pack_dict(f.terms),
+                 _Reducers(I.ring, pk, I._entries))
+    return Polynomial(I.ring, I.variables, pk.unpack_dict(nf), I.order)
 
 
 def ideal_membership(f: Polynomial, I: Ideal, **kw) -> bool:
@@ -726,16 +653,19 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
                         known=known)
         # the t-free entries (t is variable 0) are a strong basis of
         # I ∩ (f): in an elimination order nothing with t reduces them
-        G = _reduced_basis(ring, elim, [g for g in G if not g.lm[0]])
+        G = _reduced_basis(ring, elim, [g for g in G if not g.exp[0]])
+        unpack = _Packing.of(elim, len(ext_vars)).unpack
         inter = [Polynomial(ring, I.variables,
-                            {e[1:]: c for e, c in g.terms.items()}, I.order)
+                            {unpack(m)[1:]: c for m, c in g.terms.items()},
+                            I.order)
                  for g in G]
         f_basis = None
         if inter and ring.kind == "Zmod":
             # one cofactor-tracked reduced basis of (f), shared by every h
             f_basis = _buchberger([f], ring, I.order, max_pairs, max_degree,
                                   track=True)
-            f_basis = _reduced_basis(ring, I.order, f_basis, track=True)
+            f_basis = _Reducers(ring, I._packing(), _reduced_basis(
+                ring, I.order, f_basis, track=True))
         gens_out = [_divide_exact(h, f, f_basis) for h in inter]
     if ring.kind == "Zmod":
         # the annihilator of f: f = p^v * (unit-content part)
@@ -751,10 +681,10 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
 
 
 def _divide_exact(h: Polynomial, f: Polynomial,
-                  f_basis: Optional[List[_Entry]]) -> Polynomial:
+                  f_basis: Optional[_Reducers]) -> Polynomial:
     """h / f for h in (f).
 
-    Over ZZ/p^e, ``f_basis`` is the reduced strong basis of (f) under
+    Over ZZ/p^e, ``f_basis`` holds the reduced strong basis of (f) under
     h's monomial order, with cofactors tracked in terms of f (built once
     by the caller); h is reduced against it and the quotient read off
     the cofactors.  Over other rings ``f_basis`` is unused and h is
@@ -767,14 +697,13 @@ def _divide_exact(h: Polynomial, f: Polynomial,
             raise GroebnerError("intersection element not divisible; "
                                 "internal error in quotient computation")
         return q
-    cof: Dict[Tuple[int, ...], object] = {}
-    nf = _reduce(ring, h.order, dict(h.terms), f_basis, cof,
-                 basis_cofs=True)
-    if nf:
+    pk = f_basis.pk
+    cof: Dict[int, object] = {}
+    if _reduce(ring, pk.pack_dict(h.terms), f_basis, cof):
         raise GroebnerError("intersection element not in (f); "
                             "internal error in quotient computation")
     # h reduced to 0, so 0 = h + cof * f, i.e. h = (-cof) * f
-    quot = {e: ring.neg(c) for e, c in cof.items()}
+    quot = {pk.unpack(m): ring.neg(c) for m, c in cof.items()}
     return Polynomial(ring, h.variables, quot, h.order)
 
 

@@ -55,7 +55,7 @@ def hermite_normal_form(A: Matrix) -> Tuple[Matrix, Matrix]:
     """Column-style HNF: returns (H, V) with A·V = H, V unimodular.
 
     H is in column echelon form: pivots positive, zero entries above each
-    pivot, entries to the right of a pivot in its row reduced into
+    pivot, entries to the left of a pivot in its row reduced into
     [0, pivot); zero columns pushed to the far right.
     """
     if not A:

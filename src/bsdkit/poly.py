@@ -90,10 +90,6 @@ def exp_div(b, a):
     return tuple(y - x for x, y in zip(a, b))
 
 
-def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -308,10 +304,8 @@ class Polynomial:
             ok = True
         if not ok:
             raise PolynomialError(f"no canonical map {src!r} -> {target!r}")
-        return Polynomial.from_terms(
-            target, self.variables,
-            [(e, c if not isinstance(c, tuple) else c)
-             for e, c in self.terms.items()], self.order)
+        return Polynomial.from_terms(target, self.variables,
+                                     self.terms.items(), self.order)
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         return Polynomial(self.ring, self.variables, dict(self.terms), order)

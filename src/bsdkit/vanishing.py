@@ -184,23 +184,16 @@ def multiplicity_of_component(locus: ComponentLocus,
                               budget: int = DEFAULT_ORDER_BUDGET) -> int:
     """Order of vanishing of the constant p: the fibre multiplicity.
 
-    Runs over ZZ/p^2 first and doubles the modulus exponent until the
-    truncated answer is exact.
+    One order query on the locus itself, so over ZZ its chain serves the
+    later queries too.  Over ZZ/p^e with e >= 2 the answer m is exact by
+    the truncation proposition, since m < e*m.
     """
     p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
                                   locus.I.order)
-    if locus.ring.kind == "Zmod":
-        res = vanishing_order(p_const, locus, mode=mode, budget=budget)
-        if not res.exact:
-            raise VanishingError("budget hit while computing multiplicity")
-        return res.order
-    r = 1
-    while r <= budget:
-        res = vanishing_order_truncated(p_const, locus, r=r, m=1, mode=mode)
-        if res.exact:
-            return res.order
-        r *= 2
-    raise VanishingError("budget hit while computing multiplicity")
+    res = vanishing_order(p_const, locus, mode=mode, budget=budget)
+    if not res.exact:
+        raise VanishingError("budget hit while computing multiplicity")
+    return res.order
 
 
 def rational_function_order(f, g, locus: ComponentLocus,

@@ -457,17 +457,46 @@ def _det(M):
     return det
 
 
+def is_column_hnf(H):
+    """Each nonzero column's first nonzero entry (its pivot) is positive
+    and lies below the previous column's pivot, zero columns come last,
+    and the entries left of a pivot in its row lie in [0, pivot)."""
+    last_row, zero_seen = -1, False
+    for c in range(len(H[0])):
+        rows = [r for r in range(len(H)) if H[r][c]]
+        if not rows:
+            zero_seen = True
+            continue
+        r = rows[0]
+        if zero_seen or r <= last_row or H[r][c] <= 0:
+            return False
+        if not all(0 <= H[r][j] < H[r][c] for j in range(c)):
+            return False
+        last_row = r
+    return True
+
+
 @settings(max_examples=80, deadline=None)
 @given(mat_strategy)
 def test_hnf_properties(A):
     H, V = hermite_normal_form(A)
     assert mat_mul(A, V) == H
     assert abs(_det(V)) == 1
-    # pivots positive, zeros to the right of each pivot in its row
-    for row in H:
-        nz = [x for x in row if x]
-        # column-style HNF: staircase with positive pivots
-    # membership: every column of H is an integer combination of A's cols
+    assert is_column_hnf(H)
+
+
+def test_hnf_check_rejects_other_column_forms():
+    H, _ = hermite_normal_form([[2, 3, 5], [7, 11, 13], [1, 4, 9]])
+    assert H == [[1, 0, 0], [0, 1, 0], [12, 5, 29]]
+    assert is_column_hnf(H)
+    # unimodular column transforms of H that leave the echelon form
+    for V in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],     # pivots out of order
+              [[1, 0, 0], [0, 1, 0], [1, 0, 1]],     # 41 left of pivot 29
+              [[1, 0, 0], [0, -1, 0], [0, 0, 1]]):   # negative pivot
+        assert not is_column_hnf(mat_mul(H, V))
+    H, _ = hermite_normal_form([[1, 2], [2, 4]])
+    assert H == [[1, 0], [2, 0]] and is_column_hnf(H)
+    assert not is_column_hnf(mat_mul(H, [[0, 1], [1, 0]]))  # zero col first
 
 
 @settings(max_examples=80, deadline=None)

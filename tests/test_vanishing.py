@@ -1,5 +1,6 @@
 """vanishing module: Algorithm 3, truncation, modified chain."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -122,6 +123,46 @@ class TestMultiplicity:
         I = Ideal([parse_polynomial("x", ZZ, vs, GREVLEX),
                    Polynomial.constant(ZZ, vs, 2, GREVLEX)])
         assert multiplicity_of_component(ComponentLocus(J, I, 2)) == 1
+
+
+def c2_locus(k):
+    """D0 = V(x + y, z, 2) on y^k - x^k + 2x + 2 = 0, xz = 2 over ZZ."""
+    vs = ("x", "y", "z")
+    J = Ideal([parse_polynomial(f"y^{k} - x^{k} + 2*x + 2", ZZ, vs, GREVLEX),
+               parse_polynomial("x*z - 2", ZZ, vs, GREVLEX)])
+    I = Ideal([parse_polynomial(g, ZZ, vs, GREVLEX)
+               for g in ("x + y", "z", "2")])
+    return ComponentLocus(J, I, 2)
+
+
+def doubling_multiplicity(locus, budget=64):
+    """ord(p) truncated over ZZ/p^(r+1), r = 1, 2, 4, ... until exact."""
+    p_const = Polynomial.constant(ZZ, locus.I.variables, locus.p,
+                                  locus.I.order)
+    r = 1
+    while r <= budget:
+        res = vanishing_order_truncated(p_const, locus, r=r, m=1)
+        if res.exact:
+            return res.order
+        r *= 2
+    raise VanishingError("budget hit")
+
+
+MULTIPLICITY_LOCI = {"sect31": sect31_locus, **{
+    f"c2_k{k}": functools.partial(c2_locus, k)
+    for k in (2, 3, 4, 6, 8, 10, 12)}}
+
+
+@pytest.mark.parametrize("name", MULTIPLICITY_LOCI)
+def test_multiplicity_is_one_order_query(name):
+    make = MULTIPLICITY_LOCI[name]
+    m = doubling_multiplicity(make())
+    loc = make()
+    assert multiplicity_of_component(loc) == m
+    # the query's chain stays on the locus for later queries
+    assert len(loc._chains["modified"]) == m + 1
+    assert multiplicity_of_component(
+        loc.change_ring(CoefficientRing.Zmod(2, 2))) == m
 
 
 class TestRationalOrder:
