@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .intmat import rank_det
 from .poly import Polynomial
 from .rings import (QQ, ZZ, CoefficientRing, factorize, find_irreducible,
                     is_prime, mat_rref, up, up_add, up_is_irreducible,
@@ -40,48 +39,64 @@ class FieldTowerError(ValueError):
 # integer resultants and discriminants
 
 
+def _prem(A: Sequence[int], B: Sequence[int]) -> Tuple[int, ...]:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B over ZZ, for
+    deg A >= deg B >= 1: one scaling by lc(B) per degree of A from the
+    top down to deg B, whether or not that coefficient is zero."""
+    d, b = len(B) - 1, B[-1]
+    R = list(A)
+    while len(R) > d:
+        c, k = R.pop(), len(R) - d
+        R = [b * x for x in R]
+        for i in range(d):
+            R[k + i] -= c * B[i]
+    return up_trim(ZZ, R)
+
+
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) of integer univariate polynomials via the Sylvester
-    determinant (the tests' independent check of `discriminant`)."""
-    f = tuple(f)
-    g = tuple(g)
-    n = len(f) - 1
-    m = len(g) - 1
-    if n < 0 or m < 0:
+    """Res(f, g) of integer univariate polynomials by the subresultant PRS
+    (Collins 1967; Cohen, Alg. 3.3.7, without the content split): each
+    step is one pseudo-remainder and one exact division, O(n^2) big-int
+    operations in all.  Trailing zero coefficients do not count towards
+    the degree; Res(0, g) = 0 and Res(f, c) = c^deg f for a constant c."""
+    A, B = up_trim(ZZ, f), up_trim(ZZ, g)
+    if not A or not B:
         return 0
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    S = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(reversed(f)):
-            S[i][i + j] = c
-    for i in range(n):
-        for j, c in enumerate(reversed(g)):
-            S[m + i][i + j] = c
-    return rank_det(S)[1]
+    s = 1
+    if len(A) < len(B):
+        # Res(f, g) = (-1)^(deg f deg g) Res(g, f)
+        if (len(A) - 1) % 2 and (len(B) - 1) % 2:
+            s = -1
+        A, B = B, A
+    if len(B) == 1:
+        return B[0] ** (len(A) - 1)    # Res(A, c) = c^deg A
+    lc = h = 1
+    while len(B) > 1:
+        da, db = len(A) - 1, len(B) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        R = _prem(A, B)
+        if not R:
+            return 0                  # common factor of positive degree
+        q = lc * h ** delta
+        A, B = B, [c // q for c in R]
+        lc = A[-1]
+        h = lc ** delta * h // h ** delta       # lc^delta / h^(delta - 1)
+    da = len(A) - 1
+    return s * B[0] ** da // h ** (da - 1)
 
 
 def discriminant(f: Sequence[int]) -> int:
-    """disc(f) for monic integer f: (-1)^(n(n-1)/2) Res(f, f'), where
-    Res(f, f') = det of multiplication by f' on ZZ[x]/(f), the n x n
-    matrix whose rows are x^j f' mod f (j = 0, ..., n-1)."""
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic integer f of
+    degree n >= 1."""
     f = tuple(f)
     n = len(f) - 1
     if n < 1:
         raise FieldTowerError("discriminant needs degree >= 1")
     if f[-1] != 1:
         raise FieldTowerError("discriminant implemented for monic f")
-    row = [i * f[i] for i in range(1, n + 1)]
-    rows = []
-    for _ in range(n):
-        rows.append(row)
-        # x * row, with x^n = -(f_0 + ... + f_(n-1) x^(n-1))
-        top = row[-1]
-        row = [c - top * fi for c, fi in zip([0] + row[:-1], f)]
-    r = rank_det(rows)[1]
+    r = resultant(f, [i * f[i] for i in range(1, n + 1)])
     return -r if (n * (n - 1) // 2) % 2 else r
 
 

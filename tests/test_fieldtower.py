@@ -2,18 +2,21 @@
 descent, resultants, compositions over ZZ."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
 import bsdkit.fieldtower as fieldtower
+import bsdkit.intmat as intmat
 from bsdkit.fieldtower import (FieldTower, FieldTowerError, _compose_mod,
                                _TowerAlgebra, discriminant, extend_inert,
                                is_inert, minimal_polynomial,
                                optimise_discriminant, resultant,
                                subfield_property_check)
-from bsdkit.rings import QQ, up, up_add, up_mod, up_mul
+from bsdkit.intmat import rank_det
+from bsdkit.rings import QQ, ZZ, up, up_add, up_mod, up_mul
 
 uq = partial(up, QQ)
 
@@ -72,8 +75,21 @@ class TestIsInert:
 
 class TestResultant:
     def test_linear_pair(self):
-        # res(x-2, x-3) = 2-3... = product of (root differences)
-        assert abs(resultant((-2, 1), (-3, 1))) == 1
+        # Res(x - 2, x - 3) = (2 - 3)
+        assert resultant((-2, 1), (-3, 1)) == -1
+        assert resultant((-3, 1), (-2, 1)) == 1
+
+    def test_trailing_zeros_do_not_count(self):
+        # Res(1, x - 2) = 1; (1, 0) is the constant 1, not 1 + 0 x
+        assert resultant((1, 0), (-2, 1)) == 1
+        assert resultant((-2, 1, 0), (-3, 1)) == resultant((-2, 1),
+                                                           (-3, 1)) == -1
+
+    def test_constant_zero_and_common_factor(self):
+        assert resultant((3,), (1, 2, 1)) == 9           # c^deg
+        assert resultant((1, 2, 1), (3,)) == 9
+        assert resultant((), (1, 1)) == resultant((0, 0), (1, 1)) == 0
+        assert resultant((-1, 0, 1), (1, 1)) == 0        # x + 1 divides
 
     def test_discriminant_quadratic(self):
         # disc(x^2+bx+c) = b^2-4c
@@ -94,24 +110,82 @@ def _random_monic(rng, n, bits):
     return tuple(rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)) + (1,)
 
 
+def _sylvester_resultant(f, g):
+    """Res(f, g) as the determinant of the Sylvester matrix: the oracle of
+    `resultant`, on the degrees of the trimmed f and g."""
+    f = up(ZZ, f)
+    g = up(ZZ, g)
+    if not f or not g:
+        return 0
+    n, m = len(f) - 1, len(g) - 1
+    S = [[0] * (n + m) for _ in range(n + m)]
+    for i in range(m):
+        for j, c in enumerate(reversed(f)):
+            S[i][i + j] = c
+    for i in range(n):
+        for j, c in enumerate(reversed(g)):
+            S[m + i][i + j] = c
+    return rank_det(S)[1]
+
+
+def _sylvester_discriminant(f):
+    n = len(f) - 1
+    fp = tuple(i * f[i] for i in range(1, n + 1))
+    return (-1) ** (n * (n - 1) // 2) * _sylvester_resultant(f, fp)
+
+
 def test_discriminant_matches_sylvester():
-    # Res(f, f') as the (2n-1) x (2n-1) Sylvester determinant; a 512-bit
-    # Sylvester determinant of degree 24 alone takes about 3 s
+    # a 512-bit Sylvester determinant of degree 24 alone takes about 3 s
     rng = random.Random(2024)
     cases = [(n, (1, 5, 64, 512 if n <= 12 else 128)[n % 4])
              for n in range(1, 25)]
     for n, bits in cases + [(24, 512)]:
         f = _random_monic(rng, n, bits)
-        fp = tuple(i * f[i] for i in range(1, n + 1))
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        assert discriminant(f) == sign * resultant(f, fp), (n, bits)
+        assert discriminant(f) == _sylvester_discriminant(f), (n, bits)
 
 
-def _criterion9_polynomials():
+def _random_poly(rng, degree, bits):
+    """Degree -1 is the zero polynomial, given as () or as zeros."""
+    if degree < 0:
+        return rng.choice(((), (0,), (0, 0)))
+    c = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(degree)]
+    return tuple(c) + (rng.choice((-1, 1)) * rng.randint(1, 2 ** bits),)
+
+
+def test_resultant_matches_sylvester_on_random_pairs():
+    rng = random.Random(13)
+    kinds = Counter()
+    for _ in range(2400):
+        bits = rng.randint(1, 40)
+        f = _random_poly(rng, rng.randint(-1, 9), bits)
+        g = _random_poly(rng, rng.randint(-1, 9), bits)
+        if rng.random() < 0.3:
+            h = _random_poly(rng, rng.randint(1, 3), bits)
+            f, g = up_mul(ZZ, f, h), up_mul(ZZ, g, h)
+            kinds["common factor"] += 1
+        if rng.random() < 0.2:
+            f += (0,) * rng.randint(1, 2)      # trailing zeros
+        df, dg = len(up(ZZ, f)) - 1, len(up(ZZ, g)) - 1
+        kinds["zero" if min(df, dg) < 0 else
+              "constant" if min(df, dg) == 0 else
+              "odd x odd" if df % 2 and dg % 2 else "other"] += 1
+        r = _sylvester_resultant(f, g)
+        assert resultant(f, g) == r, (f, g)
+        assert resultant(g, f) == (-1) ** (max(df, 0) * max(dg, 0)) * r
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _criterion9_field():
+    """The degree-12 field of criterion 9: QQ, then ell = 2, 3, 2 at p = 2."""
     tower = FieldTower(2, seed=1)
     K = tower.base_node()
     for ell in (2, 3, 2):
         K = extend_inert(K, ell, 2)
+    return K
+
+
+def _criterion9_polynomials():
+    K = _criterion9_field()
     polys = [node.defining_poly for node, _ in K.registry().values()]
     polys.append(optimise_discriminant(K.defining_poly, 2, iterations=60,
                                        seed=2).poly)
@@ -129,17 +203,15 @@ def test_discriminant_matches_sympy():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 24])
-def test_discriminant_is_one_n_by_n_determinant(monkeypatch, n):
-    shapes = []
-    rank_det = fieldtower.rank_det
+def test_discriminant_calls_no_determinant(monkeypatch, n):
+    def refuse(M):
+        raise AssertionError("discriminant took a determinant")
 
-    def counted(M):
-        shapes.append((len(M), len(M[0])))
-        return rank_det(M)
-
-    monkeypatch.setattr(fieldtower, "rank_det", counted)
-    discriminant(_random_monic(random.Random(n), n, 16))
-    assert shapes == [(n, n)]
+    f = _random_monic(random.Random(n), n, 16)
+    expected = _sylvester_discriminant(f)
+    assert not hasattr(fieldtower, "rank_det")
+    monkeypatch.setattr(intmat, "rank_det", refuse)
+    assert discriminant(f) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +345,15 @@ class TestDescent:
     def test_reducible_mod_p_rejected(self):
         with pytest.raises(FieldTowerError):
             optimise_discriminant((-1, 0, 1), 3, iterations=1)
+
+    def test_descent_matches_sylvester_oracle(self, monkeypatch):
+        f = _criterion9_field().defining_poly
+        assert len(f) == 13
+        fast = optimise_discriminant(f, 2, iterations=60, seed=2)
+        assert fast.trace[-1] < fast.trace[0]
+        monkeypatch.setattr(fieldtower, "discriminant",
+                            _sylvester_discriminant)
+        assert optimise_discriminant(f, 2, iterations=60, seed=2) == fast
 
 
 # ---------------------------------------------------------------------------
