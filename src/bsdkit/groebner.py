@@ -5,6 +5,10 @@ ZZ/p^e leading coefficients are normalized to powers of p and annihilator
 polynomials p^(e-k) * f are adjoined instead of G-polynomials.  Reduction
 is Euclidean on coefficients (remainder in [0, lc)), so membership of f
 in an ideal is equivalent to normal form 0 against a strong basis.
+Before any pair is queued the generators are inter-reduced, smallest
+leading monomial first, and those that reduce to zero are dropped: the
+reduced strong basis is unique (Norton & Salagean 2001), so this changes
+the work, not the result.
 Inside this module a monomial is one packed int (``_Packing``): a
 polynomial is packed where it enters and unpacked where it leaves.
 """
@@ -316,8 +320,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     ``known`` says that ``gens[:known]`` is already a strong basis under
     ``order``: their S-polynomials, G-polynomials and annihilators have
     standard representations (Norton & Salagean 2001), so no pair inside
-    that block and no annihilator of it is queued.  Pairs against the
-    later generators are completed as usual.
+    that block and no annihilator of it is queued.  The later generators
+    are inter-reduced against that block first, then completed as usual.
     """
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
@@ -330,6 +334,11 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     pk = _Packing.of(order, len(gens[0].variables) if gens else 0)
     pack, guards, low = pk.pack, pk.guards, pk.low
 
+    def check_degree(terms):
+        if max(m & low for m in terms) > max_degree:
+            raise BudgetExceededError(
+                f"total degree exceeds cap {max_degree}")
+
     G: List[_Entry] = []
     n_known = 0   # entries of G that come from gens[:known]
     for i, g in enumerate(gens):
@@ -338,7 +347,23 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         n_known += i < known
         cof = {0: ring.one()} if track else None   # 0 packs the monomial 1
         G.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
-    R = _Reducers(ring, pk, G)
+    # inter-reduce the later generators, smallest lead first, against the
+    # known block and those already kept: the ideal is the same, so is its
+    # reduced basis, and redundant generators (most of a product's) queue
+    # no pairs
+    R = _Reducers(ring, pk, G[:n_known])
+    later = sorted(G[n_known:], key=operator.attrgetter("lm"))
+    del G[n_known:]
+    for g in later:
+        cof = dict(g.cof) if track else None
+        nf = _reduce(ring, g.terms, R, cof) if R.added else g.terms
+        if not nf:
+            continue
+        if nf != g.terms:
+            check_degree(nf)
+            g = _normalize(ring, pk, nf, cof)
+        G.append(g)
+        R.add(g)
 
     pairs: List[Tuple] = []   # heap of (degree, -lcm, i, j)
     alive: set = set()        # surviving (i, j) pairs
@@ -423,9 +448,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         nf = _reduce(ring, terms, R, cof)
         if not nf:
             return
-        if max(m & low for m in nf) > max_degree:
-            raise BudgetExceededError(
-                f"total degree exceeds cap {max_degree}")
+        check_degree(nf)
         push_elem(_normalize(ring, pk, nf, cof))
 
     while pairs or ann_queue:

@@ -71,6 +71,15 @@ class TestGroebnerBasis:
         with pytest.raises(BudgetExceededError):
             I.groebner_basis(max_pairs=1)
 
+    @pytest.mark.parametrize("texts", [("x - y^5", "x"), ("x", "x - y^5")])
+    def test_degree_cap_on_reduced_generator(self, texts):
+        # under lex x leads both, and reducing either by the other leaves
+        # y^5, of degree above the cap
+        ring = CoefficientRing.GF(3)
+        gens = [P(t, ring, order=MonomialOrder.lex()) for t in texts]
+        with pytest.raises(BudgetExceededError):
+            Ideal(gens).groebner_basis(max_degree=4)
+
     def test_tail_reduced_in_one_pass(self):
         # the tail y of x^2 + y reduces by y + 1
         gens = [P("x^2 + y"), P("y + 1")]
@@ -295,6 +304,34 @@ def test_reducer_preference_does_not_change_results(ring, monkeypatch):
     monkeypatch.setattr(gb_module, "_rank",
                         lambda ring, g: (-len(g.terms),))
     assert results() == preferred
+
+
+REDUNDANT_RINGS = SMALL_RINGS + [ZZ, CoefficientRing.Zmod(3, 3)]
+
+
+@pytest.mark.parametrize("ring", REDUNDANT_RINGS,
+                         ids=["GF3", "Zmod4", "ZZ", "Zmod27"])
+@pytest.mark.parametrize("order", [GREVLEX, MonomialOrder.lex(),
+                                   MonomialOrder.block(1)],
+                         ids=["grevlex", "lex", "block1"])
+def test_redundant_generators_give_same_basis(ring, order):
+    # the generators are inter-reduced before any pair is queued, and
+    # the reduced basis of an ideal does not depend on its generators
+    import random
+    rng = random.Random(23)
+    compared = 0
+    for _ in range(40):
+        gens = [g for g in (small_poly(ring, rng) for _ in range(3))
+                if not g.is_zero()]
+        if len(gens) < 2:
+            continue
+        g0, g1 = gens[0], gens[1]
+        padded = gens + gens + [g0 * g1, g0 + g1, g0.scale(2)]
+        rng.shuffle(padded)
+        want = Ideal(gens, order=order).groebner_basis()
+        assert Ideal(padded, order=order).groebner_basis() == want
+        compared += 1
+    assert compared >= 25
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

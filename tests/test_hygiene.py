@@ -1,7 +1,8 @@
 """Source hygiene: every name a bsdkit module imports is used in it, every
 module it imports is in the standard library or bsdkit itself, every
-private module-level function or class is used somewhere, and every
-function the perfbench tracer wraps exists."""
+private module-level function or class is used somewhere, only the CLI
+reads the environment, and every function the perfbench tracer wraps
+exists."""
 
 import ast
 import importlib
@@ -71,6 +72,39 @@ def test_detects_foreign_import():
            "import numpy as np\n")
     assert foreign_imports(src) == [(4, "jsonschema.validators"),
                                     (5, "numpy")]
+
+
+ENVIRONMENT = {"environ", "getenv"}
+
+
+def environment_reads(source: str):
+    """(line, name) for each os.environ / os.getenv in the source, as an
+    attribute of os or imported from it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT \
+                and getattr(node.value, "id", None) == "os":
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in ENVIRONMENT]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_reads_environment(path):
+    # a knob read from the environment is process-global configuration;
+    # the library takes its limits as arguments
+    assert environment_reads(path.read_text()) == []
+
+
+def test_detects_environment_read():
+    src = ("import os\nfrom os import getenv, path\n"
+           "a = os.environ.get('A')\nb = os.getenv('B')\n"
+           "c = os.path.join('c')\n")
+    assert environment_reads(src) == [(2, "getenv"), (3, "environ"),
+                                      (4, "getenv")]
 
 
 def test_cli_imports_without_jsonschema():

@@ -346,14 +346,18 @@ def test_period_run_builds_each_step_once(monkeypatch):
     assert len(queries) > len(chain)
 
 
-@pytest.mark.parametrize("mode, max_pairs", [("modified", 30),
-                                             ("direct", 80)])
-def test_budget_error_keeps_built_steps(monkeypatch, mode, max_pairs):
-    # modified: the pair cap is hit while building I_5; direct: building a
-    # step runs no Buchberger, so the cap is hit in a quotient test
+@pytest.mark.parametrize("mode, cap, value",
+                         [("modified", "DEFAULT_MAX_DEGREE", 2),
+                          ("direct", "DEFAULT_MAX_PAIRS", 80)],
+                         ids=["modified-degree-2", "direct-80"])
+def test_budget_error_keeps_built_steps(monkeypatch, mode, cap, value):
+    # modified: the degree cap is hit in I_3's quotient filter, with two
+    # steps built (any pair cap trips building I_2 or never); direct:
+    # building a step runs no Buchberger, so the pair cap is hit in a
+    # quotient test
     f = const(16)
     loc = sect31_locus()
-    monkeypatch.setattr(groebner, "DEFAULT_MAX_PAIRS", max_pairs)
+    monkeypatch.setattr(groebner, cap, value)
     with pytest.raises(BudgetExceededError):
         vanishing_order(f, loc, mode, budget=12)
     built = len(loc._chains[mode])
@@ -383,6 +387,19 @@ def test_criterion2_chain_sizes_to_step_12():
     chain = _modified_chain(criterion2_locus())
     sizes = [len(next(chain).groebner_basis()) for _ in range(12)]
     assert sizes == [3, 3, 3, 3, 8, 8, 8, 8, 13, 13, 13, 13]
+
+
+def test_criterion2_chain_work_to_step_12(monkeypatch):
+    # machine-independent counts of the chain's work: the inter-reduced
+    # generators keep the reductions at or below 4,814, and the steps fix
+    # the Buchberger runs
+    reductions = count_calls(monkeypatch, groebner, "_reduce")
+    runs = count_calls(monkeypatch, groebner, "_buchberger")
+    chain = _modified_chain(criterion2_locus())
+    for _ in range(12):
+        next(chain).groebner_basis()
+    assert len(reductions) <= 4814
+    assert len(runs) == 187
 
 
 def test_known_basis_saves_reductions(monkeypatch):
