@@ -1,14 +1,22 @@
-"""Buchberger-style Groebner bases over fields, ZZ and ZZ/p^e.
+"""Buchberger-style strong Groebner bases over ZZ and valuation rings.
 
-Over ZZ the completion uses S- and G-polynomials; over the chain rings
-ZZ/p^e leading coefficients are normalized to powers of p and annihilator
-polynomials p^(e-k) * f are adjoined instead of G-polynomials.  Reduction
-is Euclidean on coefficients (remainder in [0, lc)), so membership of f
-in an ideal is equivalent to normal form 0 against a strong basis.
+There are two coefficient policies.  Over ZZ the completion uses S- and
+G-polynomials.  Every other ring is a chain ring ZZ/p^e, with a field
+GF(p) or GF(p^k) as the case e = 1, where every nonzero element is a unit
+of valuation 0: leading coefficients are normalized to powers of p (1
+over a field), S-polynomials are scaled by powers of p, and annihilator
+polynomials p^(e-v) * f are adjoined where the lead's valuation v is
+above 0, which never happens over a field.  Reduction is Euclidean on
+coefficients (remainder in [0, lc)), so membership of f in an ideal is
+equivalent to normal form 0 against a strong basis.  ZZ, ZZ/p^e and
+GF(p) reduce on plain ints; only the tuple coefficients of GF(p^k) go
+through the ring's methods.
 Before any pair is queued the generators are inter-reduced, smallest
 leading monomial first, and those that reduce to zero are dropped: the
 reduced strong basis is unique (Norton & Salagean 2001), so this changes
 the work, not the result.
+An ideal quotient divides each element of I ∩ (f) by f in one way on
+every ring: through the cofactor-tracked strong basis of (f).
 Inside this module a monomial is one packed int (``_Packing``): a
 polynomial is packed where it enters and unpacked where it leaves.
 """
@@ -20,7 +28,7 @@ import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import GREVLEX, MonomialOrder, Polynomial, exact_divide
+from .poly import GREVLEX, MonomialOrder, Polynomial
 from .rings import CoefficientRing, xgcd
 
 DEFAULT_MAX_PAIRS = 10 ** 6
@@ -143,16 +151,14 @@ class _Entry:
 
 
 def _normalize(ring, pk: _Packing, terms: dict, cof: Optional[dict]):
-    """Scale so the leading coefficient is monic / positive / a power of p."""
+    """Scale so the leading coefficient is positive over ZZ and a power of
+    p elsewhere (1 over a field)."""
     lm = max(terms)
     lc = terms[lm]
-    if ring.is_field():
-        u = ring.inv(lc)
-    elif ring.kind == "ZZ":
+    if ring.kind == "ZZ":
         u = 1 if lc > 0 else -1
     else:
-        _, unit = ring.unit_val(lc)
-        u = pow(unit, -1, ring.m)
+        u = ring.inv(ring.unit_val(lc)[1])
     if u != ring.one():
         terms = {e: ring.mul(c, u) for e, c in terms.items()}
         if cof is not None:
@@ -166,26 +172,23 @@ def _normalize(ring, pk: _Packing, terms: dict, cof: Optional[dict]):
 
 def _rank(ring, g: _Entry):
     """Reducer preference: the leading coefficient that cancels most of a
-    term (lowest p-valuation, smallest over ZZ) first, then fewest terms.
+    term (smallest over ZZ, lowest p-valuation elsewhere) first, then
+    fewest terms.
 
     Against a strong basis the normal form does not depend on which
     divisor is used; the preferred one saves most of the work.
     """
-    if ring.kind == "Zmod":
-        return (ring.unit_val(g.lc)[0], len(g.terms))
-    if ring.kind == "ZZ":
-        return (g.lc, len(g.terms))
-    return (0, len(g.terms))
+    lead = g.lc if ring.kind == "ZZ" else ring.unit_val(g.lc)[0]
+    return (lead, len(g.terms))
 
 
 class _Reducers:
     """Basis entries with their divisors cached per monomial.
 
-    ``divisors(m)`` lists (rank, (lc, inverse of lc or None, lm, terms,
-    cofactor terms)) for the entries whose leading monomial divides m,
-    preferred reducer first.  Entries added later, as Buchberger's
-    completion does, are merged into a cached list when it is next
-    looked up.
+    ``divisors(m)`` lists (rank, (lc, lm, terms, cofactor terms)) for the
+    entries whose leading monomial divides m, preferred reducer first.
+    Entries added later, as Buchberger's completion does, are merged into
+    a cached list when it is next looked up.
     """
 
     def __init__(self, ring, pk: _Packing, entries: Sequence[_Entry] = ()):
@@ -197,16 +200,15 @@ class _Reducers:
             self.add(g)
 
     def add(self, g: _Entry):
-        inv = self.ring.inv(g.lc) if self.ring.is_field() else None
         self.added.append(((_rank(self.ring, g), len(self.added)),
-                           (g.lc, inv, g.lm, g.terms, g.cof)))
+                           (g.lc, g.lm, g.terms, g.cof)))
 
     def divisors(self, m: int) -> list:
         start, found = self._cache.get(m, (0, []))
         if start < len(self.added):
             guards = self.pk.guards
             new = [item for item in self.added[start:]
-                   if not (m - item[1][2]) & guards]
+                   if not (m - item[1][1]) & guards]
             if new:
                 found = sorted(found + new)
             self._cache[m] = (len(self.added), found)
@@ -226,9 +228,9 @@ def _reduce(ring, work_terms: dict, basis: _Reducers,
     heap = [-m for m in work]
     heapq.heapify(heap)
     seen = set(work)
-    is_field = ring.is_field()
-    is_zmod = ring.kind == "Zmod"
-    mod = ring.m if is_zmod else None
+    one = ring.one()
+    ints = ring.kind != "GFext"   # ZZ, ZZ/p^e and GF(p): plain ints
+    mod = ring.m or ring.p        # None over ZZ
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         e = -pop(heap)
@@ -236,21 +238,21 @@ def _reduce(ring, work_terms: dict, basis: _Reducers,
         if c is None or e in out:
             continue
         while True:
-            for _, (lc, inv, lm, terms, gcof) in divisors(e):
-                if is_field:
-                    q = ring.mul(c, inv)
-                    break
-                q = c // lc
+            for _, (lc, lm, terms, gcof) in divisors(e):
+                # a lead of 1 (every lead over a field) divides any c
+                q = c if lc == one else c // lc
                 if q:
                     break
             else:
                 break
             delta = e - lm
-            if is_zmod:
+            if ints:
                 for ge, gc in terms.items():
                     te = ge + delta
                     cur = work.get(te)
-                    nc = ((cur if cur is not None else 0) - q * gc) % mod
+                    nc = (cur or 0) - q * gc
+                    if mod:
+                        nc %= mod
                     if nc:
                         work[te] = nc
                         if te not in seen:
@@ -326,9 +328,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_degree = max_degree or DEFAULT_MAX_DEGREE
-    is_field = ring.is_field()
     is_zz = ring.kind == "ZZ"
-    is_chain = ring.kind == "Zmod"
     if track and len(gens) != 1:
         raise GroebnerError("cofactor tracking is for principal ideals")
     pk = _Packing.of(order, len(gens[0].variables) if gens else 0)
@@ -371,9 +371,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     ann_queue: List[int] = []
 
     def lead_val(entry) -> int:
-        if is_chain:
-            return ring.unit_val(entry.lc)[0]
-        return 0
+        # the p-valuation of the lead: 0 over a field, taken as 0 over ZZ
+        return 0 if is_zz else ring.unit_val(entry.lc)[0]
 
     vals: List[int] = []
 
@@ -388,17 +387,15 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     # Gebauer-Moller update: leading terms include the p-valuation of the
     # leading coefficient, so term divisibility is (v_k <= v, lm_k | L).
-    # Valid for fields (v = 0 throughout) and for the chain rings ZZ/p^e;
-    # over ZZ pairs also carry G-polynomials, so no elimination is done.
-    use_gm = is_field or is_chain
-
+    # Valid for the chain rings, fields included (v = 0 throughout); over
+    # ZZ pairs also carry G-polynomials, so no elimination is done.
     def push_elem(entry) -> int:
         idx = len(G)
         G.append(entry)
         R.add(entry)
         vals.append(lead_val(entry))
         new_T = [pair_term(i, idx) for i in range(idx)]
-        if use_gm:
+        if not is_zz:
             vn, lmn = vals[idx], entry.lm
             # drop old pairs whose lcm-term is properly covered by idx
             for (i, j) in list(alive):
@@ -423,9 +420,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         else:
             for i in range(idx):
                 push_pair(i, idx, new_T[i])
-        if is_chain:
-            if vals[idx] > 0:
-                ann_queue.append(idx)
+        if vals[idx] > 0:
+            ann_queue.append(idx)
         return idx
 
     n0 = len(G)
@@ -433,10 +429,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     for i in range(n0):
         for j in range(max(i + 1, n_known), n0):
             push_pair(i, j, pair_term(i, j))
-    if is_chain:
-        for i in range(n_known, n0):
-            if vals[i] > 0:
-                ann_queue.append(i)
+    ann_queue.extend(i for i in range(n_known, n0) if vals[i] > 0)
 
     processed = 0
 
@@ -453,9 +446,9 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     while pairs or ann_queue:
         if ann_queue:
-            f = G[ann_queue.pop()]
-            v, _ = ring.unit_val(f.lc)
-            a = ring.coerce(ring.p ** (ring.e - v))
+            k = ann_queue.pop()
+            f = G[k]
+            a = ring.coerce(ring.p ** (ring.e - vals[k]))
             consider([(f.terms, a, 0)], [(f.cof, a, 0)])
             continue
         _, L, i, j = heapq.heappop(pairs)
@@ -468,20 +461,16 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             raise BudgetExceededError(f"pair count exceeds cap {max_pairs}")
         f, g = G[i], G[j]
         L = -L
-        if is_field and L == f.lm + g.lm:
-            continue  # product criterion (fields only)
+        if not is_zz and vals[i] == vals[j] == 0 and L == f.lm + g.lm:
+            continue  # product criterion: unit leads, coprime monomials
         df, dg = L - f.lm, L - g.lm
-        if is_field:
-            cf, cg = ring.one(), ring.one()
-        elif is_zz:
+        if is_zz:
             l = f.lc * g.lc // math.gcd(f.lc, g.lc)
             cf, cg = l // f.lc, l // g.lc
         else:
-            vf, _ = ring.unit_val(f.lc)
-            vg, _ = ring.unit_val(g.lc)
-            v = max(vf, vg)
-            cf = ring.coerce(ring.p ** (v - vf))
-            cg = ring.coerce(ring.p ** (v - vg))
+            v = max(vals[i], vals[j])
+            cf = ring.coerce(ring.p ** (v - vals[i]))
+            cg = ring.coerce(ring.p ** (v - vals[j]))
         cg = ring.neg(cg)
         consider([(f.terms, cf, df), (g.terms, cg, dg)],
                  [(f.cof, cf, df), (g.cof, cg, dg)])
@@ -560,13 +549,7 @@ class Ideal:
 
     @staticmethod
     def zero_ideal(ring, variables, order=GREVLEX) -> "Ideal":
-        ideal = Ideal.__new__(Ideal)
-        ideal.ring = ring
-        ideal.variables = tuple(variables)
-        ideal.order = order
-        ideal.generators = ()
-        ideal._gb = ideal._entries = ()
-        return ideal
+        return Ideal([Polynomial.zero(ring, variables, order)], order)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -604,10 +587,6 @@ class Ideal:
         gens = ", ".join(str(g) for g in self.generators[:6])
         more = ", ..." if len(self.generators) > 6 else ""
         return f"Ideal({gens}{more})"
-
-
-def groebner_basis(I: Ideal, max_pairs=None, max_degree=None):
-    return I.groebner_basis(max_pairs, max_degree)
 
 
 def normal_form(f: Polynomial, I: Ideal, max_pairs=None,
@@ -656,9 +635,8 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
         raise GroebnerError("quotient by the zero polynomial")
     _check_ring(I.ring)
     ring = I.ring
-    if I.is_zero():
-        gens_out: List[Polynomial] = []
-    else:
+    gens_out: List[Polynomial] = []
+    if not I.is_zero():
         tag = _fresh_tag(I.variables)
         ext_vars = (tag,) + I.variables
         elim = MonomialOrder.block(1)
@@ -682,44 +660,34 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
                             {unpack(m)[1:]: c for m, c in g.terms.items()},
                             I.order)
                  for g in G]
-        f_basis = None
-        if inter and ring.kind == "Zmod":
+        if inter:
             # one cofactor-tracked reduced basis of (f), shared by every h
             f_basis = _buchberger([f], ring, I.order, max_pairs, max_degree,
                                   track=True)
             f_basis = _Reducers(ring, I._packing(), _reduced_basis(
                 ring, I.order, f_basis, track=True))
-        gens_out = [_divide_exact(h, f, f_basis) for h in inter]
-    if ring.kind == "Zmod":
-        # the annihilator of f: f = p^v * (unit-content part)
-        v = min(ring.unit_val(c)[0] for c in f.terms.values())
-        if v > 0:
-            gens_out.append(Polynomial.constant(ring, I.variables,
-                                                ring.p ** (ring.e - v),
-                                                I.order))
-    gens_out = [g for g in gens_out if not g.is_zero()]
+            gens_out = [_divide_exact(h, f_basis) for h in inter]
+    # the annihilator of f = p^v * (unit-content part); unit_val gives
+    # v = 0 over ZZ and over a field, where there is none
+    v = min(ring.unit_val(c)[0] for c in f.terms.values())
+    if v > 0:
+        gens_out.append(Polynomial.constant(ring, I.variables,
+                                            ring.p ** (ring.e - v), I.order))
     if not gens_out:
         return Ideal.zero_ideal(ring, I.variables, I.order)
     return Ideal(gens_out, order=I.order)
 
 
-def _divide_exact(h: Polynomial, f: Polynomial,
-                  f_basis: Optional[_Reducers]) -> Polynomial:
+def _divide_exact(h: Polynomial, f_basis: _Reducers) -> Polynomial:
     """h / f for h in (f).
 
-    Over ZZ/p^e, ``f_basis`` holds the reduced strong basis of (f) under
-    h's monomial order, with cofactors tracked in terms of f (built once
-    by the caller); h is reduced against it and the quotient read off
-    the cofactors.  Over other rings ``f_basis`` is unused and h is
-    divided by f directly.
+    ``f_basis`` holds the reduced strong basis of (f) under h's monomial
+    order, with cofactors tracked in terms of f (built once by the
+    caller); h is reduced against it and the quotient read off the
+    cofactors.  Over ZZ and over a field that basis is f with its lead
+    made positive or 1, and the reduction is exact division.
     """
     ring = h.ring
-    if ring.kind != "Zmod":
-        q = exact_divide(h, f)
-        if q is None:
-            raise GroebnerError("intersection element not divisible; "
-                                "internal error in quotient computation")
-        return q
     pk = f_basis.pk
     cof: Dict[int, object] = {}
     if _reduce(ring, pk.pack_dict(h.terms), f_basis, cof):

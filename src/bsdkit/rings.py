@@ -396,7 +396,7 @@ class CoefficientRing:
         return (1,) if self.kind == "GFext" else 1
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not a
 
     def add(self, a, b):
         if self.kind == "ZZ" or self.kind == "QQ":

@@ -197,6 +197,18 @@ class TestGb:
                        "y^2 - x^2 + 2*x + 2")
         assert doc["basis"]  # deterministic reduced strong GB
 
+    @pytest.mark.parametrize("args, basis", [
+        (["--ring", "GF(3)", "--vars", "x,y,z", "x^2 + y*z", "y^2 - x",
+          "z^3 - x*y"], ["z^3 + 2*x*y", "x^2 + y*z", "y^2 + 2*x"]),
+        (["--ring", "GF(2^2)", "--vars", "x,y", "x^2 + y", "x*y + 1"],
+         ["(1)*x^2 + (1)*y", "(1)*x*y + (1)", "(1)*y^2 + (1)*x"]),
+        (["--ring", "GF(5)", "--order", "lex", "--vars", "x,y", "x^2 + y",
+          "y^3 + x"], ["x + y^3", "y^6 + y"])],
+        ids=["GF3", "GF4", "GF5-lex"])
+    def test_field_bases(self, capsys, args, basis):
+        doc = run_json(capsys, "gb", *args)
+        assert doc == {"basis": basis, "size": len(basis)}
+
     def test_bad_ring_exit2(self, capsys):
         code, _, _ = run(capsys, "gb", "--vars", "x", "--ring", "Z/6", "x")
         assert code == 2

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import bsdkit.groebner as gb_module
 from bsdkit.groebner import (BudgetExceededError, GroebnerError, Ideal,
-                             groebner_basis, ideal_contained_in,
-                             ideal_membership, ideal_quotient, ideal_sum,
-                             ideal_sum_product, normal_form)
+                             ideal_contained_in, ideal_membership,
+                             ideal_quotient, ideal_sum, ideal_sum_product,
+                             normal_form)
 from bsdkit.poly import (GREVLEX, MonomialOrder, Polynomial, exp_divides,
                          exp_mul, parse_polynomial)
 from bsdkit.rings import ZZ, CoefficientRing
@@ -52,7 +52,7 @@ class TestGroebnerBasis:
         assert ideals_equal(sect31_I2(), listed)
 
     def test_unit_ideal(self):
-        gb = groebner_basis(Ideal([P("1"), P("x + y")]))
+        gb = Ideal([P("1"), P("x + y")]).groebner_basis()
         assert len(gb) == 1 and gb[0].is_constant()
 
     def test_strong_gb_mod8(self, z8):
@@ -224,9 +224,11 @@ def test_gb_correctness_random(ring):
 
 
 def test_quotient_soundness_random():
-    # f * (I : f) is contained in I, over ZZ/8 and ZZ
+    # f * (I : f) is contained in I, on every ring kind: h / f runs
+    # through the strong basis of (f) on each
     import random
-    for ring in (CoefficientRing.Zmod(2, 3), ZZ):
+    for ring in (CoefficientRing.Zmod(2, 3), ZZ, CoefficientRing.GF(3),
+                 CoefficientRing.GF(2, 2), CoefficientRing.Zmod(3, 3)):
         rng = random.Random(11)
         for _ in range(15):
             gens = [small_poly(ring, rng) for _ in range(2)]
@@ -368,21 +370,26 @@ def test_reduced_bases_match_sympy(p):
 
 
 def test_quotient_completeness_small():
-    # brute force {g : g*f in I} subset of (I : f), deg <= 2, over GF(3)
-    # and ZZ/4 (f with unit and with non-unit content)
+    # brute force {g : g*f in I} subset of (I : f), deg <= 2, over GF(3),
+    # GF(4), ZZ/4 (f with unit and with non-unit content) and ZZ, there
+    # with coefficients in {-1, 0, 1}
     vs = ("x", "y")
     exps = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
-    for ring, gens, f in [
-            (CoefficientRing.GF(3), ("x^2 + y", "x*y"), "x"),
+    GF4 = CoefficientRing.GF(2, 2)
+    for ring, gens, f, coeff_range in [
+            (CoefficientRing.GF(3), ("x^2 + y", "x*y"), "x", range(3)),
+            (GF4, ("x^2 + y", "x*y"), "x",
+             [(), (1,), (0, 1), (1, 1)]),
             (CoefficientRing.Zmod(2, 2), ("x^2 + 2*y", "x*y + 2", "2*x"),
-             "x + 2*y"),
-            (CoefficientRing.Zmod(2, 2), ("x^2 + y", "x*y", "2*y"), "2*x")]:
+             "x + 2*y", range(4)),
+            (CoefficientRing.Zmod(2, 2), ("x^2 + y", "x*y", "2*y"), "2*x",
+             range(4)),
+            (ZZ, ("x^2 + y", "x*y", "2*y"), "2*x", (-1, 0, 1))]:
         I = Ideal([P(g, ring) for g in gens])
         f = P(f, ring)
         Q = ideal_quotient(I, f)
         found = 0
-        for coeffs in itertools.product(range(ring.m or ring.p),
-                                        repeat=len(exps)):
+        for coeffs in itertools.product(coeff_range, repeat=len(exps)):
             g = Polynomial.from_terms(ring, vs, list(zip(exps, coeffs)),
                                       GREVLEX)
             if g.is_zero():
