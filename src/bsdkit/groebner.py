@@ -15,8 +15,9 @@ Before any pair is queued the generators are inter-reduced, smallest
 leading monomial first, and those that reduce to zero are dropped: the
 reduced strong basis is unique (Norton & Salagean 2001), so this changes
 the work, not the result.
-An ideal quotient divides each element of I ∩ (f) by f in one way on
-every ring: through the cofactor-tracked strong basis of (f).
+An ideal quotient (I : f) is one Buchberger run in I's own variables:
+I's reduced basis completed with f, reporting the f-cofactor of every
+syzygy it meets (Moller 1988); no tag variable and no division.
 Inside this module a monomial is one packed int (``_Packing``): a
 polynomial is packed where it enters and unpacked where it leaves.
 """
@@ -61,19 +62,13 @@ _FIELD = 32   # bits per packed field; the top one is a guard
 
 def _weight_rows(order: MonomialOrder, nvars: int) -> List[List[int]]:
     """Linear forms whose lexicographic comparison is the monomial order."""
-
-    def grevlex(lo, hi):
-        # equal degree: the smaller exponent of the last variable wins,
-        # i.e. the larger partial sum e_lo + ... + e_(k-1)
-        return [[1 if lo <= i < k else 0 for i in range(nvars)]
-                for k in range(hi, lo, -1)]
-
-    if order.kind == "grevlex":
-        return grevlex(0, nvars)
     if order.kind == "lex":
         return [[1 if i == k else 0 for i in range(nvars)]
                 for k in range(nvars)]
-    return grevlex(0, order.split) + grevlex(order.split, nvars)
+    # grevlex at equal degree: the smaller exponent of the last variable
+    # wins, i.e. the larger partial sum e_0 + ... + e_(k-1)
+    return [[1 if i < k else 0 for i in range(nvars)]
+            for k in range(nvars, 0, -1)]
 
 
 class _Packing:
@@ -146,11 +141,11 @@ class _Entry:
         self.terms = terms   # full dict, including the leading term
         self.lm = lm
         self.lc = lc
-        self.cof = cof       # optional cofactor dict (expression in f)
+        self.cof = cof       # optional cofactor dict (see _buchberger)
         self.exp = exp
 
 
-def _normalize(ring, pk: _Packing, terms: dict, cof: Optional[dict]):
+def _normalize(ring, pk: _Packing, terms: dict, cof: Optional[dict] = None):
     """Scale so the leading coefficient is positive over ZZ and a power of
     p elsewhere (1 over a field)."""
     lm = max(terms)
@@ -219,8 +214,8 @@ def _reduce(ring, work_terms: dict, basis: _Reducers,
             cof: Optional[dict] = None) -> dict:
     """Normal form of the packed work_terms against basis.
 
-    If ``cof`` is given, it is updated in place so that input = output +
-    (sum of basis multiples expressed through the entries' cofactors).
+    If ``cof`` is given, each step subtracts q * x^d times the reducer's
+    cofactor from it in place, as it does from the work terms.
     """
     divisors = basis.divisors
     work = dict(work_terms)
@@ -273,17 +268,8 @@ def _reduce(ring, work_terms: dict, basis: _Reducers,
                         if te not in seen:
                             seen.add(te)
                             push(heap, -te)
-            if cof is not None:
-                # maintain: current value = cof * f  (so subtract q * cof_g)
-                for ce, cc in gcof.items():
-                    te = ce + delta
-                    d = ring.mul(q, cc)
-                    cur = cof.get(te)
-                    nc = ring.sub(cur, d) if cur is not None else ring.neg(d)
-                    if ring.is_zero(nc):
-                        cof.pop(te, None)
-                    else:
-                        cof[te] = nc
+            if cof is not None and gcof:
+                _shift_add(ring, ((gcof, ring.neg(q), delta),), cof)
             c = work.get(e)
             if c is None:
                 break
@@ -297,26 +283,32 @@ def _reduce(ring, work_terms: dict, basis: _Reducers,
 # Buchberger completion
 
 
-def _shift_add(ring, parts) -> dict:
-    """The sum of c * x^d * terms over (terms, c, d) in parts."""
-    out: Dict[int, object] = {}
+def _shift_add(ring, parts, out=None) -> dict:
+    """Add c * x^d * terms over (terms, c, d) in parts to ``out`` (a new
+    dict by default) and return it; plain ints except over GF(p^k)."""
+    out = {} if out is None else out
+    get = out.get
+    ints = ring.kind != "GFext"
+    mod = ring.m or ring.p        # None over ZZ
     for terms, c, d in parts:
         for e, x in terms.items():
             e += d
-            y = ring.mul(x, c)
-            cur = out.get(e)
-            if cur is not None:
-                y = ring.add(cur, y)
-            if ring.is_zero(y):
-                out.pop(e, None)
+            if ints:
+                y = get(e, 0) + x * c
+                if mod:
+                    y %= mod
             else:
+                y = ring.add(get(e, ()), ring.mul(x, c))
+            if y:
                 out[e] = y
+            else:
+                out.pop(e, None)
     return out
 
 
 def _buchberger(gens: Sequence[Polynomial], ring, order,
-                max_pairs=None, max_degree=None, track=False,
-                known=0) -> List[_Entry]:
+                max_pairs=None, max_degree=None, known=0,
+                sink=None) -> List[_Entry]:
     """A strong basis of (gens) under ``order``, as unreduced entries.
 
     ``known`` says that ``gens[:known]`` is already a strong basis under
@@ -324,13 +316,23 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     standard representations (Norton & Salagean 2001), so no pair inside
     that block and no annihilator of it is queued.  The later generators
     are inter-reduced against that block first, then completed as usual.
+
+    With a ``sink``, the last generator is x and the others generate J.
+    Each entry h carries its x-cofactor c_h, with h = c_h * x mod J (0 on
+    J's generators, 1 on x), and ``sink`` gets the packed x-cofactor of
+    every combination that is zero before or after reduction.  These and
+    J generate (J : x): the syzygies of the leading terms lift to those of
+    the basis (Moller 1988), and a lift's x-cofactor is one reported here
+    or lies in J.  The Koszul syzygy h_j*h_i - h_i*h_j of a pair the
+    product criterion skips has x-cofactor h_j*c_i - h_i*c_j =
+    (h_j - c_j*x)*c_i - (h_i - c_i*x)*c_j, which is in J.  A sink that
+    raises ends the run.
     """
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_degree = max_degree or DEFAULT_MAX_DEGREE
     is_zz = ring.kind == "ZZ"
-    if track and len(gens) != 1:
-        raise GroebnerError("cofactor tracking is for principal ideals")
+    track = sink is not None
     pk = _Packing.of(order, len(gens[0].variables) if gens else 0)
     pack, guards, low = pk.pack, pk.guards, pk.low
 
@@ -339,13 +341,19 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             raise BudgetExceededError(
                 f"total degree exceeds cap {max_degree}")
 
+    def report(cof):
+        if cof:
+            sink(cof)
+
     G: List[_Entry] = []
     n_known = 0   # entries of G that come from gens[:known]
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
         n_known += i < known
-        cof = {0: ring.one()} if track else None   # 0 packs the monomial 1
+        # 0 packs the monomial 1
+        cof = ({0: ring.one()} if i == len(gens) - 1 else {}) \
+            if track else None
         G.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
     # inter-reduce the later generators, smallest lead first, against the
     # known block and those already kept: the ideal is the same, so is its
@@ -358,6 +366,7 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         cof = dict(g.cof) if track else None
         nf = _reduce(ring, g.terms, R, cof) if R.added else g.terms
         if not nf:
+            report(cof)
             continue
         if nf != g.terms:
             check_degree(nf)
@@ -435,11 +444,10 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     def consider(parts, cof_parts):
         terms = _shift_add(ring, parts)
-        if not terms:
-            return
         cof = _shift_add(ring, cof_parts) if track else None
-        nf = _reduce(ring, terms, R, cof)
+        nf = _reduce(ring, terms, R, cof) if terms else terms
         if not nf:
+            report(cof)
             return
         check_degree(nf)
         push_elem(_normalize(ring, pk, nf, cof))
@@ -481,8 +489,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     return G
 
 
-def _reduced_basis(ring, order: MonomialOrder, G: List[_Entry],
-                   track=False) -> List[_Entry]:
+def _reduced_basis(ring, order: MonomialOrder,
+                   G: List[_Entry]) -> List[_Entry]:
     if not G:
         return []
     pk = _Packing.of(order, len(G[0].exp))
@@ -506,11 +514,10 @@ def _reduced_basis(ring, order: MonomialOrder, G: List[_Entry],
     # others is the unique one against the strong basis, and a second
     # pass would change nothing.  Minimality keeps each lead irreducible.
     for i, g in enumerate(kept):
-        cof = dict(g.cof) if track else None
         others = _Reducers(ring, pk, kept[:i] + kept[i + 1:])
-        nf = _reduce(ring, g.terms, others, cof)
+        nf = _reduce(ring, g.terms, others)
         if nf != g.terms:
-            kept[i] = _normalize(ring, pk, nf, cof)
+            kept[i] = _normalize(ring, pk, nf)
     return kept
 
 
@@ -621,81 +628,33 @@ def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
     return Ideal(gens, order=A.order)
 
 
-def _fresh_tag(variables) -> str:
-    tag = "t_elim"
-    while tag in variables:
-        tag += "_"
-    return tag
-
-
 def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
                    max_degree=None) -> Ideal:
-    """(I : (f)) via tag-variable intersection with (f)."""
+    """(I : (f)): I's reduced basis and the f-cofactors of the syzygies
+    that one run completing it with f meets (see ``_buchberger``).  Over
+    ZZ/p^e these hold the annihilator p^(e-v) of f, v the p-valuation of
+    its content, since p^(e-v) * f = 0 is a syzygy too."""
+    gens = I.groebner_basis(max_pairs, max_degree)
+    _syzygy_cofactors(I, f, gens.append, max_pairs, max_degree)
+    if not gens:
+        return Ideal.zero_ideal(I.ring, I.variables, I.order)
+    return Ideal(gens, order=I.order)
+
+
+def _syzygy_cofactors(I: Ideal, f: Polynomial, sink, max_pairs=None,
+                      max_degree=None):
+    """Call ``sink`` on each syzygy cofactor of one Buchberger run that
+    completes I's reduced basis with f, in I's variables and order."""
     if f.is_zero():
         raise GroebnerError("quotient by the zero polynomial")
-    _check_ring(I.ring)
-    ring = I.ring
-    gens_out: List[Polynomial] = []
-    if not I.is_zero():
-        tag = _fresh_tag(I.variables)
-        ext_vars = (tag,) + I.variables
-        elim = MonomialOrder.block(1)
-        t = Polynomial.variable(ring, ext_vars, tag, elim)
-        one = Polynomial.constant(ring, ext_vars, 1, elim)
-        # start from the reduced basis: fewer, smaller generators, and
-        # the basis is cached on I across repeated quotients
-        base = I.groebner_basis(max_pairs, max_degree)
-        gens = [t * g.extend_variables(ext_vars, elim) for g in base]
-        gens.append((one - t) * f.extend_variables(ext_vars, elim))
-        # t*G is a strong basis under elim only if elim restricted to
-        # I's variables is I's order
-        known = len(base) if I.order == GREVLEX else 0
-        G = _buchberger(gens, ring, elim, max_pairs, max_degree,
-                        known=known)
-        # the t-free entries (t is variable 0) are a strong basis of
-        # I ∩ (f): in an elimination order nothing with t reduces them
-        G = _reduced_basis(ring, elim, [g for g in G if not g.exp[0]])
-        unpack = _Packing.of(elim, len(ext_vars)).unpack
-        inter = [Polynomial(ring, I.variables,
-                            {unpack(m)[1:]: c for m, c in g.terms.items()},
-                            I.order)
-                 for g in G]
-        if inter:
-            # one cofactor-tracked reduced basis of (f), shared by every h
-            f_basis = _buchberger([f], ring, I.order, max_pairs, max_degree,
-                                  track=True)
-            f_basis = _Reducers(ring, I._packing(), _reduced_basis(
-                ring, I.order, f_basis, track=True))
-            gens_out = [_divide_exact(h, f_basis) for h in inter]
-    # the annihilator of f = p^v * (unit-content part); unit_val gives
-    # v = 0 over ZZ and over a field, where there is none
-    v = min(ring.unit_val(c)[0] for c in f.terms.values())
-    if v > 0:
-        gens_out.append(Polynomial.constant(ring, I.variables,
-                                            ring.p ** (ring.e - v), I.order))
-    if not gens_out:
-        return Ideal.zero_ideal(ring, I.variables, I.order)
-    return Ideal(gens_out, order=I.order)
-
-
-def _divide_exact(h: Polynomial, f_basis: _Reducers) -> Polynomial:
-    """h / f for h in (f).
-
-    ``f_basis`` holds the reduced strong basis of (f) under h's monomial
-    order, with cofactors tracked in terms of f (built once by the
-    caller); h is reduced against it and the quotient read off the
-    cofactors.  Over ZZ and over a field that basis is f with its lead
-    made positive or 1, and the reduction is exact division.
-    """
-    ring = h.ring
-    pk = f_basis.pk
-    cof: Dict[int, object] = {}
-    if _reduce(ring, pk.pack_dict(h.terms), f_basis, cof):
-        raise GroebnerError("intersection element not in (f); "
-                            "internal error in quotient computation")
-    # h reduced to 0, so 0 = h + cof * f, i.e. h = (-cof) * f
-    quot = {pk.unpack(m): ring.neg(c) for m, c in cof.items()}
-    return Polynomial(ring, h.variables, quot, h.order)
+    if f.ring != I.ring or f.variables != I.variables:
+        raise GroebnerError("f and I disagree on ring/variables")
+    base = I.groebner_basis(max_pairs, max_degree)
+    pk = I._packing()
+    _buchberger(base + [f.with_order(I.order)], I.ring, I.order, max_pairs,
+                max_degree, known=len(base),
+                sink=lambda c: sink(Polynomial(I.ring, I.variables,
+                                               pk.unpack_dict(c), I.order)))
 
 
 def ideal_contained_in(A: Ideal, B: Ideal, **kw) -> bool:

@@ -29,18 +29,17 @@ class ParseError(PolynomialError):
 
 
 class MonomialOrder:
-    """Grevlex, lex, or a two-block elimination order (grevlex in each block).
+    """Grevlex or lex.
 
     ``sort_key(exp)`` produces a key whose ascending sort lists monomials
     in *descending* order.
     """
 
-    __slots__ = ("kind", "split")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, split: int = 0):
-        assert kind in ("grevlex", "lex", "block")
+    def __init__(self, kind: str):
+        assert kind in ("grevlex", "lex")
         self.kind = kind
-        self.split = split
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
@@ -50,28 +49,18 @@ class MonomialOrder:
     def lex() -> "MonomialOrder":
         return MonomialOrder("lex")
 
-    @staticmethod
-    def block(split: int) -> "MonomialOrder":
-        return MonomialOrder("block", split)
-
     def sort_key(self, e: Tuple[int, ...]):
         if self.kind == "grevlex":
             return (-sum(e), e[::-1])
-        if self.kind == "lex":
-            return tuple(-x for x in e)
-        a, b = e[:self.split], e[self.split:]
-        return (-sum(a), a[::-1], -sum(b), b[::-1])
+        return tuple(-x for x in e)
 
     def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.split == other.split)
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.split))
+        return hash(self.kind)
 
     def __repr__(self):
-        if self.kind == "block":
-            return f"block({self.split})"
         return self.kind
 
 
@@ -309,23 +298,6 @@ class Polynomial:
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         return Polynomial(self.ring, self.variables, dict(self.terms), order)
-
-    def extend_variables(self, variables, order=None) -> "Polynomial":
-        """Re-express in a variable list containing the current one."""
-        variables = tuple(variables)
-        idx = []
-        for v in self.variables:
-            if v not in variables:
-                raise PolynomialError(f"variable {v!r} missing from target")
-            idx.append(variables.index(v))
-        n = len(variables)
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n
-            for i, x in zip(idx, e):
-                e2[i] = x
-            terms[tuple(e2)] = c
-        return Polynomial(self.ring, variables, terms, order or self.order)
 
     def evaluate(self, point):
         """Evaluate at a point given as {var: ring element}."""

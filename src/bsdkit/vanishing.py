@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, List
 
-from .groebner import (Ideal, ideal_membership, ideal_quotient, ideal_sum,
-                       ideal_sum_product)
+from .groebner import (Ideal, _syzygy_cofactors, ideal_membership,
+                       ideal_sum, ideal_sum_product)
 from .poly import Polynomial
 from .rings import CoefficientRing
 
@@ -80,12 +80,26 @@ class VanishingOrder:
         return self.order
 
 
+class _Witness(Exception):
+    """An element of (In : (f)) outside I."""
+
+
 def _quotient_outside(In: Ideal, f: Polynomial, I: Ideal) -> bool:
-    """Whether (In : (f)) is NOT contained in I (early exit on witness)."""
-    Q = ideal_quotient(In, f)
-    for g in Q.generators:
+    """Whether (In : (f)) is NOT contained in I, for In inside I.
+
+    The quotient is generated by In and the syzygy cofactors of one
+    Buchberger run (see ``groebner.ideal_quotient``).  Only a cofactor
+    can leave I: the run stops at the first that does, and no quotient
+    is built.
+    """
+    def test(g):
         if not ideal_membership(g, I):
-            return True
+            raise _Witness
+
+    try:
+        _syzygy_cofactors(In, f, test)
+    except _Witness:
+        return True
     return False
 
 

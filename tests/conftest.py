@@ -7,8 +7,8 @@ import pytest
 
 from bsdkit.compgroup import (Component, OrbitCluster, SpecialFibre,
                               assemble_fibre, expand_orbit)
-from bsdkit.groebner import Ideal
-from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
+from bsdkit.groebner import Ideal, ideal_membership
+from bsdkit.poly import GREVLEX, MonomialOrder, Polynomial, parse_polynomial
 from bsdkit.rings import ZZ, CoefficientRing
 from bsdkit.vanishing import ComponentLocus
 
@@ -45,6 +45,56 @@ def criterion2_locus():
                parse_polynomial("z", R, vs, GREVLEX),
                Polynomial.constant(R, vs, 2, GREVLEX)])
     return ComponentLocus(J, I, 2)
+
+
+def with_variables(g, variables, order):
+    """g re-expressed in ``variables``, a list that contains its own."""
+    idx = [variables.index(v) for v in g.variables]
+    terms = {}
+    for e, c in g.terms.items():
+        e2 = [0] * len(variables)
+        for i, x in zip(idx, e):
+            e2[i] = x
+        terms[tuple(e2)] = c
+    return Polynomial(g.ring, variables, terms, order)
+
+
+def intersection_by_elimination(I, f, max_degree=None):
+    """Generators of I ∩ (f) by elimination: the t-free elements of a
+    strong basis of t*I + (1 - t)*f under lex with the tag t first."""
+    lex = MonomialOrder.lex()
+    tag = "t"
+    while tag in I.variables:
+        tag += "_"
+    vs = (tag,) + I.variables
+    t = Polynomial.variable(I.ring, vs, tag, lex)
+    gens = [t * with_variables(g, vs, lex) for g in I.groebner_basis()]
+    gens.append((Polynomial.constant(I.ring, vs, 1, lex) - t)
+                * with_variables(f, vs, lex))
+    E = Ideal(gens, order=lex).groebner_basis(max_degree=max_degree)
+    return [Polynomial(I.ring, I.variables,
+                       {e[1:]: c for e, c in g.terms.items()}, I.order)
+            for g in E if not any(e[0] for e in g.terms)]
+
+
+def assert_is_quotient(Q, I, f, max_degree=None):
+    """Q = (I : f), checked without division: f*Q lies in I, I ∩ (f) (from
+    the elimination, which max_degree caps) lies in f*Q, and Q holds the
+    annihilator p^(e-v) of f over ZZ/p^e; together f*Q = I ∩ (f) and
+    Q = (I : f)."""
+    ring = I.ring
+    products = [g * f for g in Q.generators]
+    assert all(ideal_membership(h, I) for h in products)
+    products = [h for h in products if not h.is_zero()]
+    fQ = (Ideal(products, order=I.order) if products
+          else Ideal.zero_ideal(ring, I.variables, I.order))
+    for h in intersection_by_elimination(I, f, max_degree):
+        assert ideal_membership(h, fQ)
+    v = min(ring.unit_val(c)[0] for c in f.terms.values())
+    if v > 0:
+        ann = Polynomial.constant(ring, I.variables,
+                                  ring.p ** (ring.e - v), I.order)
+        assert ideal_membership(ann, Q)
 
 
 def _cycle(n, p=7, rot=0):

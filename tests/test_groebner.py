@@ -15,7 +15,7 @@ from bsdkit.poly import (GREVLEX, MonomialOrder, Polynomial, exp_divides,
                          exp_mul, parse_polynomial)
 from bsdkit.rings import ZZ, CoefficientRing
 
-from conftest import P, const
+from conftest import P, assert_is_quotient, const
 
 
 def ideals_equal(A: Ideal, B: Ideal) -> bool:
@@ -223,31 +223,50 @@ def test_gb_correctness_random(ring):
         assert normal_form(nf, I) == nf
 
 
+ORACLE_RINGS = {"ZZ": ZZ, "Zmod8": CoefficientRing.Zmod(2, 3),
+                "Zmod27": CoefficientRing.Zmod(3, 3),
+                "Zmod32": CoefficientRing.Zmod(2, 5),
+                "GF3": CoefficientRing.GF(3), "GF5": CoefficientRing.GF(5),
+                "GF4": CoefficientRing.GF(2, 2)}
+
+
+def random_ideals(ring, rng, count, size=(1, 3)):
+    """``count`` lists of nonzero small polynomials in two or three
+    variables, of a length drawn from ``size``."""
+    out = []
+    while len(out) < count:
+        nvars = rng.randint(2, 3)
+        polys = [small_poly(ring, rng, nvars) for _ in range(size[1])]
+        polys = [g for g in polys if not g.is_zero()][:rng.randint(*size)]
+        if len(polys) >= size[0]:
+            out.append(polys)
+    return out
+
+
 def test_quotient_soundness_random():
-    # f * (I : f) is contained in I, on every ring kind: h / f runs
-    # through the strong basis of (f) on each
+    # (I : f) on every ring kind against the elimination oracle.  The lex
+    # elimination passes degree 12 on one case over ZZ and one over GF(3),
+    # and takes seconds there; those cases are not checked
     import random
-    for ring in (CoefficientRing.Zmod(2, 3), ZZ, CoefficientRing.GF(3),
-                 CoefficientRing.GF(2, 2), CoefficientRing.Zmod(3, 3)):
-        rng = random.Random(11)
-        for _ in range(15):
-            gens = [small_poly(ring, rng) for _ in range(2)]
-            gens = [g for g in gens if not g.is_zero()]
-            if not gens:
-                continue
-            I = Ideal(gens)
-            f = small_poly(ring, rng)
-            if f.is_zero():
-                continue
+    lex = MonomialOrder.lex()
+    for name, ring in ORACLE_RINGS.items():
+        rng = random.Random(29)
+        checked = 0
+        for polys in random_ideals(ring, rng, 35, size=(2, 4)):
+            *gens, f = polys
+            I = Ideal(gens, order=lex if rng.random() < 0.25 else GREVLEX)
             Q = ideal_quotient(I, f)
-            for g in Q.generators:
-                assert ideal_membership(g * f, I)
+            try:
+                assert_is_quotient(Q, I, f, max_degree=12)
+            except BudgetExceededError:
+                continue
+            checked += 1
+        assert checked >= 34, name
 
 
 def test_quotient_divides_under_ideal_order():
-    # over ZZ/8, I ∩ (f) has several elements, and every one is divided
-    # by f through the strong basis of (f); f is given in lex while I is
-    # grevlex, so that basis must be built under I's order
+    # over ZZ/8 the quotient has several generators; f is given in lex
+    # while I is grevlex, and the run must take f into I's order
     ring = CoefficientRing.Zmod(2, 3)
     I = Ideal([P("x^2 + 2*y", ring), P("x*y + 2", ring), const(4, ring)])
     f = P("2*x + y^2 + 2", ring, order=MonomialOrder.lex())
@@ -260,13 +279,45 @@ def test_quotient_divides_under_ideal_order():
     assert Q.groebner_basis() == Q_same.groebner_basis()
 
 
+@pytest.mark.parametrize("ring", [ZZ, CoefficientRing.Zmod(2, 3)],
+                         ids=["ZZ", "Zmod8"])
+def test_quotient_keeps_syzygy_zero_before_reduction(ring):
+    # 2z and z give the S-polynomial 2z - 2*z = 0 before any reduction;
+    # its cofactor -2 is what (J : z) = (2, xz - y) adds to J
+    vs = ("x", "y", "z")
+    J = Ideal([P("2*z", ring, vs), P("x*z - y", ring, vs)])
+    Q = ideal_quotient(J, P("z", ring, vs))
+    assert ideals_equal(Q, Ideal([const(2, ring, vs), P("x*z - y", ring, vs)]))
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_sums_and_products_match_generators(name):
+    # A*B + C and A + B against the ideals of their generators, multiplied
+    # out by hand and completed under lex: mutual containment
+    import random
+    ring = ORACLE_RINGS[name]
+    rng = random.Random(31)
+    lex = MonomialOrder.lex()
+    for polys in random_ideals(ring, rng, 20, size=(3, 5)):
+        A = Ideal(polys[:1])
+        B = Ideal(polys[1:-1])
+        C = Ideal(polys[-1:])
+        products = [a * b for a in A.generators for b in B.generators]
+        by_hand = [g.with_order(lex) for g in products + list(C.generators)
+                   if not g.is_zero()]
+        for got, want in ((ideal_sum_product(A, B, C), by_hand),
+                          (ideal_sum_product(A.interreduced(),
+                                             B.interreduced(), C), by_hand),
+                          (ideal_sum(A, B),
+                           [g.with_order(lex) for g in polys[:-1]])):
+            assert ideals_equal(got, Ideal(want, order=lex))
+
+
 def test_packed_monomials_follow_order():
     import random
     rng = random.Random(3)
-    orders = [MonomialOrder.grevlex(), MonomialOrder.lex(),
-              MonomialOrder.block(1), MonomialOrder.block(2)]
-    for order in orders:
-        for nvars in range(max(order.split + 1, 1), 5):
+    for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
+        for nvars in range(1, 5):
             pk = gb_module._Packing.of(order, nvars)
             exps = [tuple(rng.randint(0, 5) for _ in range(nvars))
                     for _ in range(25)]
@@ -313,9 +364,8 @@ REDUNDANT_RINGS = SMALL_RINGS + [ZZ, CoefficientRing.Zmod(3, 3)]
 
 @pytest.mark.parametrize("ring", REDUNDANT_RINGS,
                          ids=["GF3", "Zmod4", "ZZ", "Zmod27"])
-@pytest.mark.parametrize("order", [GREVLEX, MonomialOrder.lex(),
-                                   MonomialOrder.block(1)],
-                         ids=["grevlex", "lex", "block1"])
+@pytest.mark.parametrize("order", [GREVLEX, MonomialOrder.lex()],
+                         ids=["grevlex", "lex"])
 def test_redundant_generators_give_same_basis(ring, order):
     # the generators are inter-reduced before any pair is queued, and
     # the reduced basis of an ideal does not depend on its generators
@@ -455,10 +505,9 @@ def test_known_start_matches_full_completion(ring):
 @pytest.mark.parametrize("ring", KNOWN_RINGS,
                          ids=["GF3", "Zmod4", "Zmod8", "ZZ"])
 def test_quotient_of_lex_ideal(ring):
-    # a lex basis of I need not be a strong basis under the elimination
-    # order (x - y^2 leads with x under lex, with y^2 under grevlex), so
-    # the quotient of a lex-ordered I completes every pair; both orders
-    # give one ideal
+    # the quotient runs in I's own order, so a lex-ordered I starts from
+    # its lex basis (x - y^2 leads with x under lex, with y^2 under
+    # grevlex); both orders give one ideal
     import random
     rng = random.Random(17)
     lex = MonomialOrder.lex()

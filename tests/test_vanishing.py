@@ -8,7 +8,7 @@ import pytest
 
 from bsdkit import groebner, vanishing
 from bsdkit.groebner import (BudgetExceededError, Ideal, ideal_contained_in,
-                             ideal_sum_product)
+                             ideal_quotient, ideal_sum_product)
 from bsdkit.modelfile import parse_prime_model
 from bsdkit.periods import BigPeriodMatrix, period_pipeline
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
@@ -20,7 +20,8 @@ from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                               rational_function_order, vanishing_order,
                               vanishing_order_truncated)
 
-from conftest import P, const, criterion2_locus, sect31_locus
+from conftest import (P, assert_is_quotient, const, criterion2_locus,
+                      sect31_locus)
 
 
 class TestVanishingOrder:
@@ -347,14 +348,14 @@ def test_period_run_builds_each_step_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, cap, value",
-                         [("modified", "DEFAULT_MAX_DEGREE", 2),
-                          ("direct", "DEFAULT_MAX_PAIRS", 80)],
-                         ids=["modified-degree-2", "direct-80"])
+                         [("modified", "DEFAULT_MAX_PAIRS", 6),
+                          ("direct", "DEFAULT_MAX_PAIRS", 40)],
+                         ids=["modified-pairs-6", "direct-40"])
 def test_budget_error_keeps_built_steps(monkeypatch, mode, cap, value):
-    # modified: the degree cap is hit in I_3's quotient filter, with two
-    # steps built (any pair cap trips building I_2 or never); direct:
-    # building a step runs no Buchberger, so the pair cap is hit in a
-    # quotient test
+    # modified: the pair cap is hit in the basis of I_4's J_n, with three
+    # steps built (no degree cap above 1 trips: the quotients run in the
+    # locus's own variables); direct: building a step runs no Buchberger,
+    # so the pair cap is hit in I_7's quotient test
     f = const(16)
     loc = sect31_locus()
     monkeypatch.setattr(groebner, cap, value)
@@ -383,29 +384,32 @@ def test_chain_cache_ignored_by_equality():
 # the criterion-2 chain: its gate, and the work a known basis saves
 
 
-def test_criterion2_chain_sizes_to_step_12():
+def test_criterion2_chain_sizes_to_step_18():
     chain = _modified_chain(criterion2_locus())
-    sizes = [len(next(chain).groebner_basis()) for _ in range(12)]
-    assert sizes == [3, 3, 3, 3, 8, 8, 8, 8, 13, 13, 13, 13]
+    sizes = [len(next(chain).groebner_basis()) for _ in range(18)]
+    assert sizes == [3, 3, 3, 3, 8, 8, 8, 8, 13, 13, 13, 13,
+                     19, 19, 20, 19, 30, 30]
 
 
 def test_criterion2_chain_work_to_step_12(monkeypatch):
     # machine-independent counts of the chain's work: the inter-reduced
-    # generators and the product criterion on every pair of unit leads keep
-    # the reductions at or below 4,749, and the steps fix the Buchberger
-    # runs
+    # generators, the product criterion on every pair of unit leads and
+    # the filter's stop at its first witness keep the reductions (the
+    # witness tests' normal forms against I among them) at or below
+    # 3,666; each step's basis and each filter test is one Buchberger run
     reductions = count_calls(monkeypatch, groebner, "_reduce")
     runs = count_calls(monkeypatch, groebner, "_buchberger")
     chain = _modified_chain(criterion2_locus())
     for _ in range(12):
         next(chain).groebner_basis()
-    assert len(reductions) <= 4749
-    assert len(runs) == 187
+    assert len(reductions) <= 3666
+    assert len(runs) == 104
 
 
 def test_known_basis_saves_reductions(monkeypatch):
     # one quotient of the modified step's filter: J_n's reduced basis G
-    # enters the elimination as t*G, which is already a strong basis
+    # enters the run as a strong basis, so no pair inside it is queued;
+    # the cofactors reported differ, the quotient does not
     loc = criterion2_locus()
     In = vanishing._chain_step(loc, "modified", 5)
     Jn = ideal_sum_product(In.interreduced(), loc.I, loc.J).interreduced()
@@ -420,9 +424,67 @@ def test_known_basis_saves_reductions(monkeypatch):
         reductions = count_calls(monkeypatch, groebner, "_reduce")
         Q = groebner.ideal_quotient(Jn, x)
         monkeypatch.undo()
-        return Q.generators, len(reductions)
+        return Q, len(reductions)
 
-    gens, known_count = quotient(True)
-    gens_full, full_count = quotient(False)
-    assert gens == gens_full
+    Q, known_count = quotient(True)
+    Q_full, full_count = quotient(False)
+    assert ideal_contained_in(Q, Q_full) and ideal_contained_in(Q_full, Q)
     assert known_count < full_count
+
+
+# ---------------------------------------------------------------------------
+# the quotient filter against the elimination oracle
+
+
+def check_filter_calls(calls):
+    # each quotient is the elimination's, and the filter, which stops at
+    # its first witness, answers as the whole quotient does
+    for In, f, I in calls:
+        Q = ideal_quotient(In, f)
+        assert_is_quotient(Q, In, f)
+        assert vanishing._quotient_outside(In, f, I) == \
+            (not ideal_contained_in(Q, I))
+
+
+def test_criterion2_quotients_match_elimination(monkeypatch):
+    # the 83 quotients of the chain to step 12; by step 18 the lex
+    # elimination passes the degree cap
+    calls = count_calls(monkeypatch, vanishing, "_quotient_outside")
+    chain = _modified_chain(criterion2_locus())
+    for _ in range(12):
+        next(chain)
+    monkeypatch.undo()
+    assert len(calls) == 83
+    check_filter_calls(calls)
+
+
+@pytest.mark.parametrize("mode", ["direct", "modified"])
+@pytest.mark.parametrize("e", [None, 3, 6], ids=["ZZ", "Zmod8", "Zmod64"])
+def test_sect31_quotients_match_elimination(monkeypatch, mode, e):
+    ring = ZZ if e is None else CoefficientRing.Zmod(2, e)
+    loc = sect31_locus(ring)
+    calls = count_calls(monkeypatch, vanishing, "_quotient_outside")
+    for text in ("2", "x + y", "(x + y)^3", "2*x + 2", "x^2 + y^2 + 2"):
+        vanishing_order(P(text, ring), loc, mode, budget=6)
+    monkeypatch.undo()
+    assert len(calls) > 10
+    check_filter_calls(calls)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+def test_random_filter_matches_quotient(kind):
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(6):
+        loc = random_locus(rng)
+        loc = loc.change_ring(RINGS[kind](loc.p))
+        vs = loc.I.variables
+        for n in (1, 2, 3):
+            In = vanishing._chain_step(loc, "modified", n)
+            for text in ("x + y", "x - 1", "x*y + y", str(loc.p)):
+                f = parse_polynomial(text, loc.ring, vs, GREVLEX)
+                if f.is_zero():
+                    continue
+                check_filter_calls([(In, f, loc.I)])
+                checked += 1
+    assert checked >= 50
