@@ -18,6 +18,10 @@ the work, not the result.
 An ideal quotient (I : f) is one Buchberger run in I's own variables:
 I's reduced basis completed with f, reporting the f-cofactor of every
 syzygy it meets (Moller 1988); no tag variable and no division.
+An ideal keeps one reducer index over its packed reduced basis, for as
+long as the ideal lives: normal forms reduce against it, and a run that
+starts from that basis (a quotient, or a sum with an inter-reduced
+ideal) indexes only its own entries on top of it.
 Inside this module a monomial is one packed int (``_Packing``): a
 polynomial is packed where it enters and unpacked where it leaves.
 """
@@ -184,22 +188,43 @@ class _Reducers:
     entries whose leading monomial divides m, preferred reducer first.
     Entries added later, as Buchberger's completion does, are merged into
     a cached list when it is next looked up.
+
+    A child over a ``base`` index starts from the base's list for m and
+    scans only its own additions, numbered on from the base's entries, so
+    the preference order is that of one flat index.  The base must not
+    grow while a child is in use.  An ``Ideal`` keeps one index over its
+    reduced basis: normal forms against the ideal reduce against it, and
+    every run that starts from that basis is a child of it, so the
+    divisors of a monomial are found once per ideal.
     """
 
-    def __init__(self, ring, pk: _Packing, entries: Sequence[_Entry] = ()):
+    def __init__(self, ring, pk: _Packing, entries: Sequence[_Entry] = (),
+                 base: Optional["_Reducers"] = None):
         self.ring = ring
         self.pk = pk
+        self.base = base
+        self.offset = len(base) if base is not None else 0
+        self.entries: List[_Entry] = []   # this index's own additions
         self.added: List[Tuple] = []
         self._cache: Dict[int, Tuple[int, list]] = {}
         for g in entries:
             self.add(g)
 
+    def __len__(self):
+        return self.offset + len(self.added)
+
     def add(self, g: _Entry):
-        self.added.append(((_rank(self.ring, g), len(self.added)),
+        self.added.append(((_rank(self.ring, g), len(self)),
                            (g.lc, g.lm, g.terms, g.cof)))
+        self.entries.append(g)
 
     def divisors(self, m: int) -> list:
-        start, found = self._cache.get(m, (0, []))
+        hit = self._cache.get(m)
+        if hit is not None:
+            start, found = hit
+        else:
+            start = 0
+            found = self.base.divisors(m) if self.base is not None else []
         if start < len(self.added):
             guards = self.pk.guards
             new = [item for item in self.added[start:]
@@ -307,33 +332,38 @@ def _shift_add(ring, parts, out=None) -> dict:
 
 
 def _buchberger(gens: Sequence[Polynomial], ring, order,
-                max_pairs=None, max_degree=None, known=0,
+                max_pairs=None, max_degree=None,
+                base: Optional[_Reducers] = None,
                 sink=None) -> List[_Entry]:
-    """A strong basis of (gens) under ``order``, as unreduced entries.
+    """A strong basis of (gens) plus the ``base`` entries under ``order``,
+    as unreduced entries.
 
-    ``known`` says that ``gens[:known]`` is already a strong basis under
-    ``order``: their S-polynomials, G-polynomials and annihilators have
-    standard representations (Norton & Salagean 2001), so no pair inside
-    that block and no annihilator of it is queued.  The later generators
-    are inter-reduced against that block first, then completed as usual.
+    ``base`` is the index of a basis that is already strong under
+    ``order`` (an ``Ideal``'s reduced basis): its S-polynomials,
+    G-polynomials and annihilators have standard representations (Norton
+    & Salagean 2001), so no pair inside it and no annihilator of it is
+    queued, and its entries are neither packed nor indexed again.  The
+    generators are inter-reduced against it first, then completed as
+    usual; the run's index is a child of ``base``.
 
-    With a ``sink``, the last generator is x and the others generate J.
-    Each entry h carries its x-cofactor c_h, with h = c_h * x mod J (0 on
-    J's generators, 1 on x), and ``sink`` gets the packed x-cofactor of
-    every combination that is zero before or after reduction.  These and
-    J generate (J : x): the syzygies of the leading terms lift to those of
-    the basis (Moller 1988), and a lift's x-cofactor is one reported here
-    or lies in J.  The Koszul syzygy h_j*h_i - h_i*h_j of a pair the
-    product criterion skips has x-cofactor h_j*c_i - h_i*c_j =
-    (h_j - c_j*x)*c_i - (h_i - c_i*x)*c_j, which is in J.  A sink that
-    raises ends the run.
+    With a ``sink``, the last generator is x and the rest, ``base``
+    included, generate J.  Each entry h carries its x-cofactor c_h, with
+    h = c_h * x mod J (none on J's generators, 1 on x), and ``sink`` gets
+    the packed x-cofactor of every combination that is zero before or
+    after reduction.  These and J generate (J : x): the syzygies of the
+    leading terms lift to those of the basis (Moller 1988), and a lift's
+    x-cofactor is one reported here or lies in J.  The Koszul syzygy
+    h_j*h_i - h_i*h_j of a pair the product criterion skips has
+    x-cofactor h_j*c_i - h_i*c_j = (h_j - c_j*x)*c_i - (h_i - c_i*x)*c_j,
+    which is in J.  A sink that raises ends the run.
     """
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
     max_degree = max_degree or DEFAULT_MAX_DEGREE
     is_zz = ring.kind == "ZZ"
     track = sink is not None
-    pk = _Packing.of(order, len(gens[0].variables) if gens else 0)
+    pk = base.pk if base is not None else \
+        _Packing.of(order, len(gens[0].variables) if gens else 0)
     pack, guards, low = pk.pack, pk.guards, pk.low
 
     def check_degree(terms):
@@ -345,26 +375,24 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         if cof:
             sink(cof)
 
-    G: List[_Entry] = []
-    n_known = 0   # entries of G that come from gens[:known]
+    G: List[_Entry] = list(base.entries) if base is not None else []
+    n_known = len(G)   # entries of G that come from base
+    later = []
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        n_known += i < known
         # 0 packs the monomial 1
         cof = ({0: ring.one()} if i == len(gens) - 1 else {}) \
             if track else None
-        G.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
-    # inter-reduce the later generators, smallest lead first, against the
-    # known block and those already kept: the ideal is the same, so is its
-    # reduced basis, and redundant generators (most of a product's) queue
-    # no pairs
-    R = _Reducers(ring, pk, G[:n_known])
-    later = sorted(G[n_known:], key=operator.attrgetter("lm"))
-    del G[n_known:]
+        later.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
+    # inter-reduce the generators, smallest lead first, against the base
+    # and those already kept: the ideal is the same, so is its reduced
+    # basis, and redundant generators (most of a product's) queue no pairs
+    R = _Reducers(ring, pk, base=base)
+    later.sort(key=operator.attrgetter("lm"))
     for g in later:
         cof = dict(g.cof) if track else None
-        nf = _reduce(ring, g.terms, R, cof) if R.added else g.terms
+        nf = _reduce(ring, g.terms, R, cof) if len(R) else g.terms
         if not nf:
             report(cof)
             continue
@@ -413,15 +441,18 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
                         and new_T[i] != T and new_T[j] != T:
                     alive.discard((i, j))
                     del pair_T[(i, j)]
-            # new pairs (i, idx), pruned by the M/F/B criteria
-            seen_T = set()
-            for i, (v, L) in enumerate(new_T):
-                if any(w <= v and not (L - M) & guards and (w, M) != (v, L)
-                       for j, (w, M) in enumerate(new_T) if j != i):
+            # new pairs (i, idx), pruned by the M/F/B criteria: keep the
+            # first of each term that no other term properly covers.  A
+            # proper cover has a lower degree, or the same monomial and a
+            # lower valuation, so it sorts first; covering is transitive,
+            # so testing against the terms kept so far is enough, and a
+            # repeat is caught as covering itself
+            minimal: List[Tuple[int, int]] = []
+            for _, v, L, i in sorted((L & low, v, L, i)
+                                     for i, (v, L) in enumerate(new_T)):
+                if any(w <= v and not (L - M) & guards for w, M in minimal):
                     continue
-                if (v, L) in seen_T:
-                    continue
-                seen_T.add((v, L))
+                minimal.append((v, L))
                 # product criterion: unit leads and coprime monomials
                 if vals[i] == 0 and vn == 0 and L == G[i].lm + lmn:
                     continue
@@ -444,7 +475,9 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     def consider(parts, cof_parts):
         terms = _shift_add(ring, parts)
-        cof = _shift_add(ring, cof_parts) if track else None
+        # a base entry carries no cofactor: it counts as 0
+        cof = _shift_add(ring, [c for c in cof_parts if c[0]]) \
+            if track else None
         nf = _reduce(ring, terms, R, cof) if terms else terms
         if not nf:
             report(cof)
@@ -509,15 +542,18 @@ def _reduced_basis(ring, order: MonomialOrder,
                 removed[i] = True
                 break
     kept = [G[i] for i in order_idx if not removed[i]]
-    # tail-reduce each against the others, once: a tail term lies below
-    # the entry's own leading monomial, so the normal form against the
-    # others is the unique one against the strong basis, and a second
-    # pass would change nothing.  Minimality keeps each lead irreducible.
+    # tail-reduce each, once, against one index of all kept entries: a
+    # tail term lies below the entry's own leading monomial, which then
+    # divides none of the terms the reduction meets, so this is the
+    # normal form against the others, the unique one against the strong
+    # basis, and a second pass would change nothing.  Minimality keeps
+    # each lead irreducible.
+    index = _Reducers(ring, pk, kept)
     for i, g in enumerate(kept):
-        others = _Reducers(ring, pk, kept[:i] + kept[i + 1:])
-        nf = _reduce(ring, g.terms, others)
-        if nf != g.terms:
-            kept[i] = _normalize(ring, pk, nf)
+        tail = {m: c for m, c in g.terms.items() if m != g.lm}
+        nf = _reduce(ring, tail, index) if tail else tail
+        if nf != tail:
+            kept[i] = _normalize(ring, pk, {g.lm: g.lc, **nf})
     return kept
 
 
@@ -541,6 +577,7 @@ class Ideal:
             self.order = order or generators[0].order
             self.generators = ()
             self._gb = self._entries = ()
+            self._base = self._reducers = None
             return
         ring = gens[0].ring
         variables = gens[0].variables
@@ -553,6 +590,10 @@ class Ideal:
         self.generators = tuple(g.with_order(self.order) for g in gens)
         self._gb: Optional[Tuple[Polynomial, ...]] = None
         self._entries: Tuple[_Entry, ...] = ()   # _gb on packed monomials
+        # an ideal generated by its reduced basis and leading the
+        # generators (see ideal_sum), held until this basis is built
+        self._base: Optional[Ideal] = None
+        self._reducers: Optional[_Reducers] = None   # see _index
 
     @staticmethod
     def zero_ideal(ring, variables, order=GREVLEX) -> "Ideal":
@@ -563,8 +604,15 @@ class Ideal:
 
     def groebner_basis(self, max_pairs=None, max_degree=None):
         if self._gb is None:
-            entries = _buchberger(self.generators, self.ring, self.order,
-                                  max_pairs, max_degree)
+            A = self._base
+            if A is None:
+                entries = _buchberger(self.generators, self.ring, self.order,
+                                      max_pairs, max_degree)
+            else:
+                entries = _buchberger(self.generators[len(A.generators):],
+                                      self.ring, self.order, max_pairs,
+                                      max_degree, base=A._index())
+                self._base = None
             self._entries = tuple(
                 _reduced_basis(self.ring, self.order, entries))
             pk = self._packing()
@@ -577,6 +625,16 @@ class Ideal:
     def _packing(self) -> _Packing:
         return _Packing.of(self.order, len(self.variables))
 
+    def _index(self) -> _Reducers:
+        """The reducer index over the reduced basis, built on first use
+        and kept, with its divisor cache, for the ideal's lifetime."""
+        if self._reducers is None:
+            if self._gb is None:
+                self.groebner_basis()
+            self._reducers = _Reducers(self.ring, self._packing(),
+                                       self._entries)
+        return self._reducers
+
     def interreduced(self, max_pairs=None, max_degree=None) -> "Ideal":
         """The same ideal, but generated by its reduced strong basis.
 
@@ -587,7 +645,8 @@ class Ideal:
         if not gb:
             return self
         K = Ideal(gb, order=self.order)
-        K._gb, K._entries = self._gb, self._entries
+        K.generators = K._gb = self._gb
+        K._entries, K._reducers = self._entries, self._reducers
         return K
 
     def __repr__(self):
@@ -602,8 +661,7 @@ def normal_form(f: Polynomial, I: Ideal, max_pairs=None,
         return f
     I.groebner_basis(max_pairs, max_degree)
     pk = I._packing()
-    nf = _reduce(I.ring, pk.pack_dict(f.terms),
-                 _Reducers(I.ring, pk, I._entries))
+    nf = _reduce(I.ring, pk.pack_dict(f.terms), I._index())
     return Polynomial(I.ring, I.variables, pk.unpack_dict(nf), I.order)
 
 
@@ -622,10 +680,16 @@ def ideal_sum_product(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
 
 
 def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
+    """A + B.  When A is generated by its reduced basis (``interreduced``),
+    the sum's basis is completed from A's index: A's entries are a strong
+    basis, so only B's generators are reduced and paired."""
     gens = list(A.generators) + list(B.generators)
     if not gens:
         return Ideal.zero_ideal(A.ring, A.variables, A.order)
-    return Ideal(gens, order=A.order)
+    S = Ideal(gens, order=A.order)
+    if A.generators and A.generators is A._gb:
+        S._base = A
+    return S
 
 
 def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
@@ -635,7 +699,17 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
     ZZ/p^e these hold the annihilator p^(e-v) of f, v the p-valuation of
     its content, since p^(e-v) * f = 0 is a syzygy too."""
     gens = I.groebner_basis(max_pairs, max_degree)
-    _syzygy_cofactors(I, f, gens.append, max_pairs, max_degree)
+    pk = I._packing()
+    seen = {frozenset(e.terms.items()) for e in I._entries}
+
+    def keep(cof):
+        key = frozenset(cof.items())
+        if key not in seen:
+            seen.add(key)
+            gens.append(Polynomial(I.ring, I.variables, pk.unpack_dict(cof),
+                                   I.order))
+
+    _syzygy_cofactors(I, f, keep, max_pairs, max_degree)
     if not gens:
         return Ideal.zero_ideal(I.ring, I.variables, I.order)
     return Ideal(gens, order=I.order)
@@ -643,18 +717,16 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
 
 def _syzygy_cofactors(I: Ideal, f: Polynomial, sink, max_pairs=None,
                       max_degree=None):
-    """Call ``sink`` on each syzygy cofactor of one Buchberger run that
-    completes I's reduced basis with f, in I's variables and order."""
+    """Call ``sink`` on the packed cofactor of each syzygy that one
+    Buchberger run meets, completing I's reduced basis with f from I's
+    index, in I's variables and order."""
     if f.is_zero():
         raise GroebnerError("quotient by the zero polynomial")
     if f.ring != I.ring or f.variables != I.variables:
         raise GroebnerError("f and I disagree on ring/variables")
-    base = I.groebner_basis(max_pairs, max_degree)
-    pk = I._packing()
-    _buchberger(base + [f.with_order(I.order)], I.ring, I.order, max_pairs,
-                max_degree, known=len(base),
-                sink=lambda c: sink(Polynomial(I.ring, I.variables,
-                                               pk.unpack_dict(c), I.order)))
+    I.groebner_basis(max_pairs, max_degree)
+    _buchberger([f], I.ring, I.order, max_pairs, max_degree,
+                base=I._index(), sink=sink)
 
 
 def ideal_contained_in(A: Ideal, B: Ideal, **kw) -> bool:

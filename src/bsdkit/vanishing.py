@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, List
 
-from .groebner import (Ideal, _syzygy_cofactors, ideal_membership,
-                       ideal_sum, ideal_sum_product)
+from .groebner import (Ideal, _reduce, _syzygy_cofactors,
+                       ideal_membership, ideal_sum, ideal_sum_product)
 from .poly import Polynomial
 from .rings import CoefficientRing
 
@@ -89,11 +89,15 @@ def _quotient_outside(In: Ideal, f: Polynomial, I: Ideal) -> bool:
 
     The quotient is generated by In and the syzygy cofactors of one
     Buchberger run (see ``groebner.ideal_quotient``).  Only a cofactor
-    can leave I: the run stops at the first that does, and no quotient
-    is built.
+    can leave I: each comes packed and is reduced against I's index, the
+    run stops at the first that does not reduce to 0, and no quotient is
+    built.
     """
-    def test(g):
-        if not ideal_membership(g, I):
+    assert In._packing() is I._packing()
+    ring, index = I.ring, I._index()
+
+    def test(cof):
+        if _reduce(ring, cof, index):
             raise _Witness
 
     try:

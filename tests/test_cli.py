@@ -1,6 +1,8 @@
 """cli module: commands, exit codes, JSON output contract."""
 
+import contextlib
 import json
+import signal
 
 import pytest
 
@@ -19,6 +21,21 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Turn a hang into a failure; the caps, not this, keep a test fast."""
+    def hang(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +184,22 @@ class TestPeriod:
                            "--matrix-file", fixture_path("matrix_g2.json"))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("k, exit_code", [(1000, 3), (64, 0)])
+    def test_field_degree_cap(self, tmp_path, capsys, k, exit_code):
+        # GF(2^1000) is refused before any modulus is searched; the cap
+        # admits GF(2^64)
+        with open(fixture_path("genus2_p2.json")) as fh:
+            doc = json.load(fh)
+        doc["charts"][0]["sample_points"][0]["field_degree"] = k
+        path = tmp_path / f"degree{k}.json"
+        path.write_text(json.dumps(doc))
+        with alarm(10):
+            code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                                 fixture_path("matrix_g2.json"))
+        assert code == exit_code, err
+        if exit_code:
+            assert out == "" and "exceeds the cap 64" in err
+
     def test_repeated_prime_exit2(self, capsys):
         scaled = fixture_path("genus2_p2_scaled.json")
         code, out, err = run(capsys, "period", scaled, scaled,
@@ -243,6 +276,13 @@ class TestGb:
                              "Z/318665857834031151167461^2")
         assert code == 2 and out == ""
         assert "not prime" in err
+
+    def test_field_degree_cap_exit2(self, capsys):
+        with alarm(10):
+            code, out, err = run(capsys, "gb", "--vars", "x", "--ring",
+                                 "GF(2^1000)", "x")
+        assert code == 2 and out == ""
+        assert "degree 1000 exceeds the cap 64" in err
 
     def test_parse_error_exit2(self, capsys):
         code, out, _ = run(capsys, "gb", "--vars", "x", "--ring", "ZZ",

@@ -305,6 +305,29 @@ def test_snf_inverse_on_random_matrices():
         assert mat_mul(U, U_inv) == identity(n)
 
 
+def test_snf_matches_sympy_invariant_factors():
+    # an independent Smith form: sympy's invariant factors, zeros included,
+    # against the diagonal of D and against invariant_factors; low-rank
+    # matrices come from products of thin random factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_if
+    rng = random.Random(53)
+    for _ in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            A = [[rng.randint(-40, 40) for _ in range(m)] for _ in range(n)]
+        else:
+            r = rng.randint(1, min(n, m))
+            B = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(n)]
+            C = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)]
+            A = mat_mul(B, C)
+        expected = [abs(int(d)) for d in
+                    sympy_if(sympy.Matrix(A), domain=sympy.ZZ)]
+        D = smith_normal_form(A)[0]
+        assert [D[t][t] for t in range(min(n, m))] == expected, A
+        assert invariant_factors(A) == [d for d in expected if d], A
+
+
 def _fraction_rank(M):
     A = [[Fraction(x) for x in row] for row in M]
     rank, rows, cols = 0, len(A), len(A[0])

@@ -256,6 +256,7 @@ def test_quotient_soundness_random():
             *gens, f = polys
             I = Ideal(gens, order=lex if rng.random() < 0.25 else GREVLEX)
             Q = ideal_quotient(I, f)
+            assert len(set(Q.generators)) == len(Q.generators)
             try:
                 assert_is_quotient(Q, I, f, max_degree=12)
             except BudgetExceededError:
@@ -489,17 +490,112 @@ def test_known_start_matches_full_completion(ring):
                             for _ in range(2)) if not g.is_zero()]
         if not first or not more:
             continue
-        gb = Ideal(first).groebner_basis()
-        gens = gb + more
+        I = Ideal(first)
+        gb = I.groebner_basis()
 
-        def reduced(known):
-            G = gb_module._buchberger(gens, ring, order, known=known)
+        def reduced(gens, base=None):
+            G = gb_module._buchberger(gens, ring, order, base=base)
             return [g.terms for g in
                     gb_module._reduced_basis(ring, order, G)]
 
-        assert reduced(len(gb)) == reduced(0)
+        assert reduced(more, I._index()) == reduced(gb + more)
         compared += 1
     assert compared >= 10
+
+
+# ---------------------------------------------------------------------------
+# one reducer index per ideal
+
+INDEX_RINGS = [ZZ, CoefficientRing.Zmod(2, 3), CoefficientRing.GF(3)]
+
+
+@pytest.mark.parametrize("ring", INDEX_RINGS, ids=["ZZ", "Zmod8", "GF3"])
+def test_child_index_matches_flat_index(ring):
+    # a child over a base lists the divisors of m, in the same order, as
+    # one flat index of the base's entries and the child's additions;
+    # lookups between additions exercise the merge into cached lists
+    import random
+    rng = random.Random(41)
+    pk = gb_module._Packing.of(GREVLEX, 3)
+    monomials = [pk.pack(e) for e in itertools.product(range(4), repeat=3)]
+    for _ in range(12):
+        polys = [small_poly(ring, rng, 3, max_deg=3) for _ in range(9)]
+        entries = [gb_module._normalize(ring, pk, pk.pack_dict(g.terms))
+                   for g in polys if not g.is_zero()]
+        k = rng.randint(0, len(entries))
+        base = gb_module._Reducers(ring, pk, entries[:k])
+        flat = gb_module._Reducers(ring, pk, entries[:k])
+        child = gb_module._Reducers(ring, pk, base=base)
+        for g in entries[k:]:
+            for m in rng.sample(monomials, 6):
+                assert child.divisors(m) == flat.divisors(m)
+            child.add(g)
+            flat.add(g)
+        # a second child meets the base's cache warmed by the first
+        other = gb_module._Reducers(ring, pk, entries[k:], base=base)
+        assert len(child) == len(other) == len(flat) == len(entries)
+        for m in monomials:
+            assert child.divisors(m) == other.divisors(m) == flat.divisors(m)
+
+
+@pytest.mark.parametrize("ring", INDEX_RINGS, ids=["ZZ", "Zmod8", "GF3"])
+def test_cofactors_through_index_match_flat_rebuild(ring):
+    # a run from the ideal's kept index, cold and then warm, reports the
+    # same cofactors in the same order as one from a fresh flat index
+    import random
+    rng = random.Random(43)
+    compared = 0
+    for polys in random_ideals(ring, rng, 15, size=(2, 4)):
+        *gens, f = polys
+        I = Ideal(gens)
+        I.groebner_basis()
+        runs = []
+        for _ in range(2):
+            runs.append([])
+            gb_module._syzygy_cofactors(I, f, runs[-1].append)
+        fresh = gb_module._Reducers(ring, I._packing(), I._entries)
+        runs.append([])
+        gb_module._buchberger([f], ring, I.order, base=fresh,
+                              sink=runs[-1].append)
+        assert runs[0] == runs[1] == runs[2]
+        compared += bool(runs[0])
+    assert compared >= 5
+
+
+def test_index_lives_and_dies_with_its_ideal():
+    # the index is kept on the ideal and nowhere else; a sum drops the
+    # ideal it started from once its own basis is built
+    import gc
+    import weakref
+    A = Ideal([P("x^2 + y"), P("x*y + 1")]).interreduced()
+    normal_form(P("x^3 + y^3"), A)
+    ideal_quotient(A, P("x + 1"))
+    assert A._index() is A._index()
+    S = ideal_sum(A, Ideal([P("y^2 - 1")]))
+    S.groebner_basis()
+    assert S._base is None
+    refs = [weakref.ref(A), weakref.ref(A._index()), weakref.ref(S._index())]
+    del A
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    assert refs[2]() is S._index()
+    del S
+    gc.collect()
+    assert refs[2]() is None
+
+
+def test_sum_from_index_matches_flat_sum():
+    # A + B completed from A's index gives the basis of the flat sum
+    import random
+    for name, ring in ORACLE_RINGS.items():
+        rng = random.Random(47)
+        for polys in random_ideals(ring, rng, 8, size=(2, 4)):
+            A = Ideal(polys[:-1]).interreduced()
+            B = Ideal(polys[-1:])
+            S = ideal_sum(A, B)
+            assert S._base is A
+            flat = Ideal(list(A.generators) + list(B.generators))
+            assert S.groebner_basis() == flat.groebner_basis(), name
 
 
 @pytest.mark.parametrize("ring", KNOWN_RINGS,

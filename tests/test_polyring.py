@@ -226,3 +226,16 @@ def test_is_prime_rejects_strong_pseudoprimes_to_small_bases():
 def test_finite_field_modulus_checked():
     with pytest.raises(RingError):
         CoefficientRing.GF(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2
+
+
+def test_field_degree_capped_before_modulus_search(monkeypatch):
+    from bsdkit import rings
+
+    def search(p, k):
+        raise AssertionError("modulus search ran past the cap")
+
+    monkeypatch.setattr(rings, "find_irreducible", search)
+    with pytest.raises(RingError, match="exceeds the cap 64"):
+        CoefficientRing.GF(2, rings.MAX_FIELD_DEGREE + 1)
+    with pytest.raises(RingError, match="exceeds the cap 64"):
+        CoefficientRing.GF(3, 65, modulus=(1,) * 66)

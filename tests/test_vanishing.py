@@ -393,16 +393,18 @@ def test_criterion2_chain_sizes_to_step_18():
 
 def test_criterion2_chain_work_to_step_12(monkeypatch):
     # machine-independent counts of the chain's work: the inter-reduced
-    # generators, the product criterion on every pair of unit leads and
-    # the filter's stop at its first witness keep the reductions (the
-    # witness tests' normal forms against I among them) at or below
-    # 3,666; each step's basis and each filter test is one Buchberger run
+    # generators, the product criterion on every pair of unit leads, the
+    # filter's stop at its first witness and the sum J_n + extra completed
+    # from J_n's index keep the reductions (the filter's membership tests
+    # against I's index among them) at 3,357; each step's basis and each
+    # filter test is one Buchberger run
     reductions = count_calls(monkeypatch, groebner, "_reduce")
+    memberships = count_calls(monkeypatch, vanishing, "_reduce")
     runs = count_calls(monkeypatch, groebner, "_buchberger")
     chain = _modified_chain(criterion2_locus())
     for _ in range(12):
         next(chain).groebner_basis()
-    assert len(reductions) <= 3666
+    assert len(reductions) + len(memberships) == 3357
     assert len(runs) == 104
 
 
@@ -420,7 +422,8 @@ def test_known_basis_saves_reductions(monkeypatch):
         if not known_start:
             monkeypatch.setattr(
                 groebner, "_buchberger",
-                lambda *args, known=0, **kw: buchberger(*args, **kw))
+                lambda gens, *args, base=None, **kw: buchberger(
+                    Jn.groebner_basis() + list(gens), *args, **kw))
         reductions = count_calls(monkeypatch, groebner, "_reduce")
         Q = groebner.ideal_quotient(Jn, x)
         monkeypatch.undo()
@@ -441,6 +444,7 @@ def check_filter_calls(calls):
     # its first witness, answers as the whole quotient does
     for In, f, I in calls:
         Q = ideal_quotient(In, f)
+        assert len(set(Q.generators)) == len(Q.generators)
         assert_is_quotient(Q, In, f)
         assert vanishing._quotient_outside(In, f, I) == \
             (not ideal_contained_in(Q, I))
