@@ -11,6 +11,9 @@ degree, with embedding witnesses.
 Polynomials here are univariate, encoded as tuples of coefficients in
 ascending degree: ints for ZZ-level data, Fractions for QQ-level
 embeddings.  Their arithmetic is the ring-generic layer of `rings`.
+The primitive-element candidates are algebraic integers, so their
+algebra stays over ZZ and Fractions enter their minimal polynomials only
+through the witnesses of one fraction-free solve.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .intmat import solve_rational
 from .poly import Polynomial
 from .rings import (QQ, ZZ, CoefficientRing, factorize, find_irreducible,
-                    is_prime, mat_rref, up, up_add, up_is_irreducible,
+                    is_prime, up, up_add, up_is_irreducible,
                     up_is_squarefree, up_mod, up_mul, up_scale, up_sub,
                     up_trim)
 
@@ -120,19 +124,20 @@ def _compose_mod(a, b, g) -> Tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the quotient algebra QQ[x, y]/(f1(x), H(x, y)) and minimal polynomials
+# the quotient algebra ZZ[x, y]/(f1(x), H(x, y)) and minimal polynomials
 
 
 class _TowerAlgebra:
-    """QQ[x, y]/(f1(x), H(x, y)) with f1 monic of degree n over ZZ and H
+    """ZZ[x, y]/(f1(x), H(x, y)) with f1 monic of degree n over ZZ and H
     monic in y of degree ell with coefficients in ZZ[x].  Elements are
-    lists over the y-degree of QQ[x]-polynomials (reduced mod f1)."""
+    lists over the y-degree of ZZ[x]-polynomials (reduced mod f1); both
+    reductions are by monic polynomials, so products stay integral."""
 
     def __init__(self, f1: Sequence[int], H: Sequence[Sequence[int]]):
-        self.f1 = up(QQ, f1)
+        self.f1 = up(ZZ, f1)
         self.n = len(self.f1) - 1
-        self.H = [up(QQ, c) for c in H]       # H[j] = coefficient of y^j
-        if self.H[-1] != (Fraction(1),):
+        self.H = [up(ZZ, c) for c in H]       # H[j] = coefficient of y^j
+        if self.H[-1] != (1,):
             raise FieldTowerError("H must be monic in y")
         self.ell = len(self.H) - 1
         self.dim = self.n * self.ell
@@ -142,22 +147,22 @@ class _TowerAlgebra:
 
     def x_elem(self):
         e = self.zero()
-        e[0] = up_mod(QQ, up(QQ, (0, 1)), self.f1)
+        e[0] = up_mod(ZZ, (0, 1), self.f1)
         return e
 
     def y_elem(self):
         if self.ell == 1:
             # y = -H[0] in the quotient
-            return [up_mod(QQ, up_scale(QQ, self.H[0], -1), self.f1)]
+            return [up_mod(ZZ, up_scale(ZZ, self.H[0], -1), self.f1)]
         e = self.zero()
-        e[1] = (Fraction(1),)
+        e[1] = (1,)
         return e
 
     def add(self, a, b):
-        return [up_add(QQ, x, y) for x, y in zip(a, b)]
+        return [up_add(ZZ, x, y) for x, y in zip(a, b)]
 
     def scale(self, a, c):
-        return [up_scale(QQ, x, c) for x in a]
+        return [up_scale(ZZ, x, c) for x in a]
 
     def mul(self, a, b):
         # convolve in y
@@ -166,7 +171,7 @@ class _TowerAlgebra:
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        conv[i + j] = up_add(QQ, conv[i + j], up_mul(QQ, x, y))
+                        conv[i + j] = up_add(ZZ, conv[i + j], up_mul(ZZ, x, y))
         # reduce y-degrees >= ell using y^ell = -sum H[j] y^j
         for d in range(2 * self.ell - 2, self.ell - 1, -1):
             c = conv[d]
@@ -175,11 +180,11 @@ class _TowerAlgebra:
             conv[d] = ()
             for j in range(self.ell):
                 conv[d - self.ell + j] = up_sub(
-                    QQ, conv[d - self.ell + j], up_mul(QQ, c, self.H[j]))
-        return [up_mod(QQ, c, self.f1) for c in conv[:self.ell]]
+                    ZZ, conv[d - self.ell + j], up_mul(ZZ, c, self.H[j]))
+        return [up_mod(ZZ, c, self.f1) for c in conv[:self.ell]]
 
-    def coords(self, a) -> List[Fraction]:
-        out = [Fraction(0)] * self.dim
+    def coords(self, a) -> List[int]:
+        out = [0] * self.dim
         for j, c in enumerate(a):
             for i, v in enumerate(c):
                 out[j * self.n + i] = v
@@ -194,24 +199,23 @@ def minimal_polynomial(alg: _TowerAlgebra, theta
 
     Returns (g, wx, wy) where g is the degree-dim integer minimal
     polynomial and wx, wy express x and y as QQ-polynomials in theta; or
-    None when theta is not a primitive element (dependence found early or
-    the witness solve fails).
+    None when theta is not a primitive element (its powers up to dim - 1
+    are dependent, or g is not integral).
     """
     N = alg.dim
     cur = alg.zero()
-    cur[0] = (Fraction(1),)
+    cur[0] = (1,)
     cols = []
     for _ in range(N):
         cols.append(alg.coords(cur))
         cur = alg.mul(cur, theta)
-    rhs = [alg.coords(cur), alg.coords(alg.x_elem()),
-           alg.coords(alg.y_elem())]      # theta^N, x, y
-    # [M | rhs] with the powers of theta as the columns of M
-    red, pivots = mat_rref(QQ, [[col[i] for col in cols + rhs]
-                                for i in range(N)])
-    if pivots[:N] != list(range(N)):
+    cols += [alg.coords(cur), alg.coords(alg.x_elem()),
+             alg.coords(alg.y_elem())]      # theta^N, x, y
+    # [M | theta^N, x, y] with the powers of theta as the columns of M
+    sol = solve_rational(list(zip(*cols)), N)
+    if sol is None:
         return None
-    a, cx, cy = ([row[N + j] for row in red] for j in range(3))
+    a, cx, cy = sol
     # g(T) = T^N - sum a_k T^k
     g = up(QQ, [-v for v in a] + [1])
     if len(g) != N + 1 or any(c.denominator != 1 for c in g):
@@ -390,7 +394,7 @@ class FieldTower:
                 acc = alg.y_elem()
                 if s:
                     t = alg.zero()
-                    t[0] = (Fraction(1),)
+                    t[0] = (1,)
                     for _ in range(c_pow):
                         t = alg.mul(t, xp)
                     acc = alg.add(acc, alg.scale(t, s))

@@ -695,19 +695,21 @@ def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
 def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
                    max_degree=None) -> Ideal:
     """(I : (f)): I's reduced basis and the f-cofactors of the syzygies
-    that one run completing it with f meets (see ``_buchberger``).  Over
-    ZZ/p^e these hold the annihilator p^(e-v) of f, v the p-valuation of
-    its content, since p^(e-v) * f = 0 is a syzygy too."""
+    that one run completing it with f meets (see ``_buchberger``), each
+    once and only when it lies outside I (I is inside the quotient).
+    Over ZZ/p^e these hold the annihilator p^(e-v) of f, v the p-valuation
+    of its content, since p^(e-v) * f = 0 is a syzygy too."""
     gens = I.groebner_basis(max_pairs, max_degree)
-    pk = I._packing()
-    seen = {frozenset(e.terms.items()) for e in I._entries}
+    pk, index = I._packing(), I._index()
+    seen = set()
 
     def keep(cof):
         key = frozenset(cof.items())
         if key not in seen:
             seen.add(key)
-            gens.append(Polynomial(I.ring, I.variables, pk.unpack_dict(cof),
-                                   I.order))
+            if _reduce(I.ring, cof, index):
+                gens.append(Polynomial(I.ring, I.variables,
+                                       pk.unpack_dict(cof), I.order))
 
     _syzygy_cofactors(I, f, keep, max_pairs, max_degree)
     if not gens:

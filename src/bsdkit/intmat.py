@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, and
-fraction-free elimination for rank and determinant.
+one fraction-free (Bareiss) elimination for rank, determinant and
+rational solutions.
 
 Matrices are lists of rows of Python ints.  All transforms returned are
 unimodular, so every identity below holds exactly over ZZ.
@@ -7,6 +8,7 @@ unimodular, so every identity below holds exactly over ZZ.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .rings import xgcd
@@ -279,21 +281,25 @@ def solve_integer(A: Matrix, v: List[int]) -> Optional[List[int]]:
     return None if X is None else [row[0] for row in X]
 
 
-def rank_det(M: Matrix) -> Tuple[int, int]:
-    """Rank over QQ and determinant of an integer matrix, by fraction-free
-    (Bareiss) elimination.  The determinant is 0 unless M is square of
-    full rank (1 for the empty matrix).
+def _bareiss(A: Matrix) -> Tuple[List[int], int]:
+    """Fraction-free (Bareiss) forward elimination of the nonempty
+    integer matrix A, in place: the pivot columns in order, and the sign
+    of the row permutation.  Row r ends as the r-th pivot row: from its
+    pivot column on, it is a multiple of that row of an echelon form of
+    A.  When A is square of full rank, its determinant is the sign times
+    the last pivot.
 
     After k pivots each entry left below and right of them is, up to sign,
-    a (k+1)-minor of M, so dividing each update by the previous pivot is
+    a (k+1)-minor of A, so dividing each update by the previous pivot is
     exact (Sylvester's identity) and all arithmetic stays in ZZ.  Entries
     in the pivot column and left of it are never read again, so each
     update touches only the columns right of the pivot.
     """
-    A = [list(row) for row in M]
-    rows, cols = len(A), len(A[0]) if A else 0
-    rank, prev, sign = 0, 1, 1
+    rows, cols = len(A), len(A[0])
+    pivots: List[int] = []
+    prev, sign = 1, 1
     for c in range(cols):
+        rank = len(pivots)
         piv = next((r for r in range(rank, rows) if A[r][c]), None)
         if piv is None:
             continue
@@ -307,5 +313,43 @@ def rank_det(M: Matrix) -> Tuple[int, int]:
             row[c + 1:] = [(p * x - a * y) // prev
                            for x, y in zip(row[c + 1:], top)]
         prev = p
-        rank += 1
-    return rank, (sign * prev if rank == rows == cols else 0)
+        pivots.append(c)
+    return pivots, sign
+
+
+def rank_det(M: Matrix) -> Tuple[int, int]:
+    """Rank over QQ and determinant of an integer matrix, by one Bareiss
+    pass.  The determinant is 0 unless M is square of full rank (1 for the
+    empty matrix)."""
+    if not M:
+        return 0, 1
+    A = [list(row) for row in M]
+    pivots, sign = _bareiss(A)
+    rank = len(pivots)
+    return rank, (sign * A[-1][-1] if rank == len(A) == len(A[0]) else 0)
+
+
+def solve_rational(A: Matrix, n: int) -> Optional[List[List[Fraction]]]:
+    """For the n x (n + k) integer matrix A = [M | B], n >= 1, the k
+    columns of the solution X over QQ of M X = B, each a list of n
+    Fractions; None when M is singular.
+
+    One Bareiss pass over all of A leaves M upper triangular with last
+    pivot d = +-det M.  By Cramer's rule d x is integral for each solution
+    column x, so the back-substitution for y = d x divides exactly and
+    stays in ZZ; each entry becomes a Fraction only at the end.
+    """
+    A = [list(row) for row in A]
+    pivots, _ = _bareiss(A)
+    if pivots[:n] != list(range(n)):
+        return None
+    d = A[n - 1][n - 1]
+    out = []
+    for k in range(n, len(A[0])):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = A[i]
+            y[i] = (d * row[k] - sum(a * b for a, b in
+                                     zip(row[i + 1:n], y[i + 1:]))) // row[i]
+        out.append([Fraction(v, d) for v in y])
+    return out

@@ -1,7 +1,9 @@
 """Shared fixtures/helpers for the bsdkit test suite."""
 
+import contextlib
 import os
 import random
+import signal
 
 import pytest
 
@@ -17,6 +19,21 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Turn a hang into a failure; the caps, not this, keep a test fast."""
+    def hang(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def P(text, ring=ZZ, variables=("x", "y"), order=GREVLEX):

@@ -1,14 +1,12 @@
 """cli module: commands, exit codes, JSON output contract."""
 
-import contextlib
 import json
-import signal
 
 import pytest
 
 from bsdkit.cli import main
 
-from conftest import fixture_path
+from conftest import alarm, fixture_path
 
 
 def run(capsys, *argv):
@@ -21,21 +19,6 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
-
-
-@contextlib.contextmanager
-def alarm(seconds):
-    """Turn a hang into a failure; the caps, not this, keep a test fast."""
-    def hang(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +267,23 @@ class TestGb:
         assert code == 2 and out == ""
         assert "degree 1000 exceeds the cap 64" in err
 
+    def test_large_prime_field(self, capsys):
+        # no x^4 + c is irreducible over GF(1000003), and the search skips
+        # all of them
+        with alarm(10):
+            doc = run_json(capsys, "gb", "--vars", "x", "--ring",
+                           "GF(1000003^4)", "x^2 - 1")
+        assert doc["size"] == 1
+
+    def test_modulus_search_cap_exit2(self, capsys, monkeypatch):
+        # GF(23^7) tests 104 candidates for its modulus
+        from bsdkit import rings
+        monkeypatch.setattr(rings, "MAX_MODULUS_CANDIDATES", 103)
+        code, out, err = run(capsys, "gb", "--vars", "x", "--ring",
+                             "GF(23^7)", "x")
+        assert code == 2 and out == ""
+        assert "first 103 candidates tested" in err
+
     def test_parse_error_exit2(self, capsys):
         code, out, _ = run(capsys, "gb", "--vars", "x", "--ring", "ZZ",
                            "x + + 1")
@@ -305,6 +305,14 @@ class TestExtendField:
                        "--seed", "1", "--iters", "5")
         assert doc["degree"] == 6
         assert sorted(int(d) for d in doc["registry"]) == [1, 2, 3, 6]
+
+    def test_moderate_prime(self, capsys):
+        # x^3 + c is never irreducible over GF(521): 3 does not divide 520
+        with alarm(10):
+            doc = run_json(capsys, "extend-field", "--ell", "3", "--p",
+                           "521", "--seed", "1", "--iters", "5")
+        assert doc["degree"] == 3
+        assert doc["registry"]["3"]["defining_poly"] == [7, 1, 0, 1]
 
     def test_deterministic(self, capsys):
         a = run_json(capsys, "extend-field", "--ell", "2", "--p", "3",

@@ -17,7 +17,8 @@ from bsdkit.compgroup import (Component, FibreError, OrbitCluster,
 from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            inverse_unimodular, kernel_basis, mat_mul,
                            rank_det, smith_normal_form, solve_integer,
-                           solve_integer_matrix)
+                           solve_integer_matrix, solve_rational)
+from bsdkit.rings import QQ, mat_rref
 
 from conftest import criterion4_corpus, criterion5_fibres
 
@@ -395,6 +396,39 @@ def test_rank_det_determinant_matches_fraction_elimination():
     assert rank_det(A) == (3, _fraction_det(A)) == (3, -30)
     # a non-square matrix has no determinant
     assert rank_det([[1, 2, 3], [4, 5, 6]]) == (2, 0)
+
+
+def test_solve_rational_matches_gauss_jordan():
+    # [M | B] against mat_rref over QQ: a pivot in each of M's columns
+    # exactly when the solve answers, and then the same solution columns
+    rng = random.Random(19)
+    singular = 0
+    for _ in range(150):
+        n, k = rng.randint(1, 9), rng.randint(0, 3)
+        bits = rng.choice((3, 12, 64))
+        A = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n + k)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # a column of M combined from two others, or a zero column
+            i, j, c = rng.choice([(i, j, c) for i in range(n)
+                                  for j in range(n) for c in range(n)
+                                  if len({i, j, c}) == 3] or [(0, 0, 1)])
+            for row in A:
+                row[c] = 0 if i == j else 3 * row[i] - row[j]
+        if rng.random() < 0.2:
+            A[rng.randrange(n)][0] = 0         # zero leads force swaps
+        red, pivots = mat_rref(QQ, A)
+        got = solve_rational(A, n)
+        if pivots[:n] != list(range(n)):
+            assert got is None, A
+            singular += 1
+            continue
+        assert got == [[row[n + j] for row in red] for j in range(k)], A
+        assert all(isinstance(v, Fraction) for col in got for v in col)
+    assert 30 <= singular <= 120, singular
+    assert solve_rational([[0, 0, 1], [0, 1, 2]], 2) is None
+    assert solve_rational([[0, 2, 1], [3, 1, 0]], 2) == [
+        [Fraction(-1, 6), Fraction(1, 2)]]
 
 
 # ---------------------------------------------------------------------------

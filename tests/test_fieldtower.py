@@ -16,7 +16,8 @@ from bsdkit.fieldtower import (FieldTower, FieldTowerError, _compose_mod,
                                optimise_discriminant, resultant,
                                subfield_property_check)
 from bsdkit.intmat import rank_det
-from bsdkit.rings import QQ, ZZ, up, up_add, up_mod, up_mul
+from bsdkit.rings import (QQ, ZZ, CoefficientRing, mat_rref, up, up_add,
+                          up_is_irreducible, up_mod, up_mul, up_scale, up_sub)
 
 uq = partial(up, QQ)
 
@@ -45,6 +46,137 @@ class TestMinimalPolynomial:
     def test_singular_system(self):
         # x has degree 2: 1, x, x^2, x^3 are dependent
         assert minimal_polynomial(self.alg, self.alg.x_elem()) is None
+
+
+def _fraction_mul(f1, H, a, b):
+    """a * b in QQ[x, y]/(f1, H) with Fraction coefficients."""
+    ell = len(H) - 1
+    conv = [()] * (2 * ell - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            conv[i + j] = up_add(QQ, conv[i + j], up_mul(QQ, u, v))
+    for d in range(2 * ell - 2, ell - 1, -1):
+        c, conv[d] = conv[d], ()
+        for j in range(ell):
+            conv[d - ell + j] = up_sub(QQ, conv[d - ell + j],
+                                       up_mul(QQ, c, H[j]))
+    return [up_mod(QQ, c, f1) for c in conv[:ell]]
+
+
+def fraction_minimal_polynomial(alg, theta):
+    """The oracle of minimal_polynomial: the powers of theta multiplied
+    over QQ, and one Gauss-Jordan elimination of [M | theta^N, x, y] by
+    mat_rref over QQ."""
+    f1, H = uq(alg.f1), [uq(c) for c in alg.H]
+    N, n, ell = alg.dim, alg.n, alg.ell
+
+    def coords(a):
+        out = [Fraction(0)] * N
+        for j, c in enumerate(a):
+            for i, v in enumerate(c):
+                out[j * n + i] = v
+        return out
+
+    theta = [uq(c) for c in theta]
+    cur = [uq((1,))] + [()] * (ell - 1)
+    cols = []
+    for _ in range(N):
+        cols.append(coords(cur))
+        cur = _fraction_mul(f1, H, cur, theta)
+    x = [up_mod(QQ, uq((0, 1)), f1)] + [()] * (ell - 1)
+    y = ([up_mod(QQ, up_scale(QQ, H[0], -1), f1)] if ell == 1
+         else [(), uq((1,))] + [()] * (ell - 2))
+    cols += [coords(cur), coords(x), coords(y)]
+    red, pivots = mat_rref(QQ, [list(row) for row in zip(*cols)])
+    if pivots[:N] != list(range(N)):
+        return None
+    a, cx, cy = ([row[N + j] for row in red] for j in range(3))
+    g = uq([-v for v in a] + [1])
+    if len(g) != N + 1 or any(c.denominator != 1 for c in g):
+        return None
+    return tuple(c.numerator for c in g), uq(cx), uq(cy)
+
+
+def _random_inert(rng, p, n):
+    """A monic integer f of degree n, irreducible mod p, with random
+    multiples of p on top of its residue."""
+    F = CoefficientRing.GF(p)
+    while True:
+        fbar = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+        if up_is_irreducible(F, fbar):
+            return tuple(c + p * rng.randint(-3, 3) for c in fbar[:-1]) + (1,)
+
+
+def _shifted_y(alg, s, c):
+    """theta = y + s x^c, the candidates of FieldTower.node_for."""
+    t = alg.zero()
+    t[0] = (1,)
+    for _ in range(c):
+        t = alg.mul(t, alg.x_elem())
+    return alg.add(alg.y_elem(), alg.scale(t, s))
+
+
+def test_minimal_polynomial_matches_fraction_route():
+    rng = random.Random(41)
+    kinds = Counter()
+    for _ in range(120):
+        p = rng.choice((2, 3, 5))
+        n, ell = rng.choice(((1, 2), (2, 2), (2, 3), (3, 2), (4, 2),
+                             (2, 5), (3, 3), (4, 3)))
+        f1 = _random_inert(rng, p, n)
+        kind = rng.choice(("chain", "compositum"))
+        if kind == "chain":
+            # H over ZZ[x], monic in y
+            H = [tuple(rng.randint(-4, 4) for _ in range(n))
+                 for _ in range(ell)] + [(1,)]
+        else:
+            H = [(c,) for c in _random_inert(rng, p, ell)]
+        alg = _TowerAlgebra(f1, H)
+        thetas = {"y": alg.y_elem(), "x": alg.x_elem(),
+                  "shift": _shifted_y(alg, rng.choice((1, -1, 2, -3)),
+                                      rng.randint(1, 3)),
+                  "random": [tuple(rng.randint(-3, 3) for _ in range(n))
+                             for _ in range(ell)]}
+        for name, theta in thetas.items():
+            got = minimal_polynomial(alg, theta)
+            assert got == fraction_minimal_polynomial(alg, theta), \
+                (f1, H, name)
+            kinds[kind, name, got is not None] += 1
+            if name == "x" or (kind == "compositum" and name == "y"
+                               and n > 1):
+                # x has degree at most n, and y over QQ at most ell
+                assert got is None
+            if got is not None:
+                g, wx, wy = got
+                assert all(isinstance(c, Fraction) for c in wx + wy)
+    assert kinds["chain", "y", True] >= 30, kinds
+    assert kinds["compositum", "shift", True] >= 30, kinds
+    assert kinds["chain", "x", False] >= 30, kinds
+
+
+def test_minimal_polynomial_matches_sympy():
+    # coprime degrees, so QQ(x, y) has degree n * ell and the
+    # minimal polynomial of y + s x^c does not depend on the roots taken
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("X")
+    rng = random.Random(43)
+    checked = 0
+    for p in (2, 3, 5):
+        for n, ell in ((2, 3), (3, 2), (4, 3), (3, 4), (2, 5)):
+            f1, f2 = _random_inert(rng, p, n), _random_inert(rng, p, ell)
+            alg = _TowerAlgebra(f1, [(c,) for c in f2])
+            s, c = rng.choice((1, -1, 2)), rng.randint(1, 2)
+            got = minimal_polynomial(alg, _shifted_y(alg, s, c))
+            if got is None:
+                continue
+            roots = [sympy.CRootOf(sum(v * X ** i for i, v in enumerate(f)),
+                                   0) for f in (f1, f2)]
+            expected = sympy.Poly(sympy.minimal_polynomial(
+                roots[1] + s * roots[0] ** c, X), X)
+            assert got[0] == tuple(reversed(expected.all_coeffs())), \
+                (f1, f2, s, c)
+            checked += 1
+    assert checked >= 12
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,8 @@ def test_quotient_soundness_random():
             I = Ideal(gens, order=lex if rng.random() < 0.25 else GREVLEX)
             Q = ideal_quotient(I, f)
             assert len(set(Q.generators)) == len(Q.generators)
+            n = len(I.groebner_basis())
+            assert not any(ideal_membership(g, I) for g in Q.generators[n:])
             try:
                 assert_is_quotient(Q, I, f, max_degree=12)
             except BudgetExceededError:

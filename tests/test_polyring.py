@@ -1,14 +1,17 @@
 """polyring module: rings, polynomials, parsing, derivatives, gcd."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdkit.poly import (GREVLEX, ParseError, Polynomial, PolynomialError,
                          exact_divide, parse_polynomial, poly_gcd)
-from bsdkit.rings import ZZ, CoefficientRing, RingError, is_prime
+from bsdkit.rings import (ZZ, CoefficientRing, RingError, is_prime,
+                          up_is_irreducible)
 
-from conftest import P, const
+from conftest import P, alarm, const
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +242,54 @@ def test_field_degree_capped_before_modulus_search(monkeypatch):
         CoefficientRing.GF(2, rings.MAX_FIELD_DEGREE + 1)
     with pytest.raises(RingError, match="exceeds the cap 64"):
         CoefficientRing.GF(3, 65, modulus=(1,) * 66)
+
+
+def first_irreducible_by_full_scan(p, k):
+    # the scan without the binomial skip: every candidate from x^k on
+    F = CoefficientRing.GF(p)
+    for c in itertools.product(range(p), repeat=k):
+        f = tuple(reversed(c)) + (1,)
+        if up_is_irreducible(F, f):
+            return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_binomial_skip_matches_capelli_and_full_scan(p):
+    from bsdkit.rings import _binomials_reducible, find_irreducible
+    F = CoefficientRing.GF(p)
+    for k in range(2, 9):
+        irreducible = [c for c in range(p)
+                       if up_is_irreducible(F, (c,) + (0,) * (k - 1) + (1,))]
+        assert _binomials_reducible(p, k) == (not irreducible), (p, k)
+        if p ** k <= 5000:
+            assert find_irreducible(p, k) == \
+                first_irreducible_by_full_scan(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (521, 3, (7, 1, 0, 1)),         # 3 does not divide 520
+    (523, 4, (1, 1, 0, 0, 1)),      # 523 = 3 mod 4
+    (1009, 3, (2, 0, 0, 1)),        # a binomial: 3 divides 1008
+    (1000003, 4, (1, 1, 0, 0, 1)),  # 1000003 = 3 mod 4
+])
+def test_modulus_search_for_large_p(p, k, modulus):
+    # the moduli of the full scan; the first two skip all p binomials
+    with alarm(10):
+        R = CoefficientRing.GF(p, k)
+    assert R.modulus == modulus
+    if p < 2000:
+        assert first_irreducible_by_full_scan(p, k) == modulus
+    assert R.mul(R.inv((5, 7)), (5, 7)) == R.one()
+
+
+def test_modulus_search_capped(monkeypatch):
+    # GF(23^7) tests 104 candidates; an explicit modulus skips the search
+    from bsdkit import rings
+    monkeypatch.setattr(rings, "MAX_MODULUS_CANDIDATES", 103)
+    with pytest.raises(RingError, match="first 103 candidates tested"):
+        CoefficientRing.GF(23, 7)
+    monkeypatch.setattr(rings, "MAX_MODULUS_CANDIDATES", 104)
+    modulus = CoefficientRing.GF(23, 7).modulus
+    monkeypatch.setattr(rings, "MAX_MODULUS_CANDIDATES", 0)
+    R = CoefficientRing.GF(23, 7, modulus=modulus)
+    assert R.modulus == modulus

@@ -8,7 +8,8 @@ import pytest
 
 from bsdkit import groebner, vanishing
 from bsdkit.groebner import (BudgetExceededError, Ideal, ideal_contained_in,
-                             ideal_quotient, ideal_sum_product)
+                             ideal_membership, ideal_quotient,
+                             ideal_sum_product)
 from bsdkit.modelfile import parse_prime_model
 from bsdkit.periods import BigPeriodMatrix, period_pipeline
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
@@ -445,6 +446,9 @@ def check_filter_calls(calls):
     for In, f, I in calls:
         Q = ideal_quotient(In, f)
         assert len(set(Q.generators)) == len(Q.generators)
+        # Q is In's reduced basis, then the kept cofactors: none in In
+        n = len(In.groebner_basis())
+        assert not any(ideal_membership(g, In) for g in Q.generators[n:])
         assert_is_quotient(Q, In, f)
         assert vanishing._quotient_outside(In, f, I) == \
             (not ideal_contained_in(Q, I))
