@@ -33,6 +33,8 @@ from .rings import (QQ, ZZ, CoefficientRing, factorize, find_irreducible,
                     up_trim)
 
 DEGREE_CAP = 24
+SEARCH_BUDGET = 200        # random lifts tried per new chain level
+IRREDUCIBLE_TRIES = 2000   # random draws per irreducible over GF(p^k)
 
 
 class FieldTowerError(ValueError):
@@ -270,13 +272,12 @@ def is_inert(f, p: int) -> bool:
     return up_is_irreducible(F, fbar)
 
 
-def _random_irreducible(R: CoefficientRing, degree: int, rng: random.Random,
-                        budget: int = 2000):
+def _random_irreducible(R: CoefficientRing, degree: int, rng: random.Random):
     """Monic irreducible of the given degree over GF(p^k) = R, k >= 2, with
     coefficients drawn uniformly from R."""
     elements = [R.coerce(c)
                 for c in itertools.product(range(R.p), repeat=R.k)]
-    for _ in range(budget):
+    for _ in range(IRREDUCIBLE_TRIES):
         f = tuple(rng.choice(elements) for _ in range(degree)) + (R.one(),)
         if up_is_irreducible(R, f):
             return f
@@ -321,7 +322,7 @@ class FieldTower:
 
     # -- chain growth
 
-    def _grow_chain(self, ell: int, budget: int):
+    def _grow_chain(self, ell: int):
         chain = self.chains.setdefault(ell, [])
         e = len(chain)
         new_degree = ell ** (e + 1)
@@ -338,7 +339,7 @@ class FieldTower:
         tries = 0
         while True:
             tries += 1
-            if tries > budget:
+            if tries > SEARCH_BUDGET:
                 raise FieldTowerError("budget exhausted extending the "
                                       f"{ell}-chain")
             hbar = _random_irreducible(R, ell, self.rng)
@@ -363,15 +364,14 @@ class FieldTower:
 
     # -- composita
 
-    def node_for(self, levels: Dict[int, int],
-                 budget: int = 200) -> NumberFieldNode:
+    def node_for(self, levels: Dict[int, int]) -> NumberFieldNode:
         levels = {ell: a for ell, a in sorted(levels.items()) if a > 0}
         key = tuple(sorted(levels.items()))
         if key in self._node_cache:
             return self._node_cache[key]
         for ell, a in levels.items():
             while len(self.chains.get(ell, [])) < a:
-                self._grow_chain(ell, budget)
+                self._grow_chain(ell)
         if not levels:
             node = NumberFieldNode(self, 1, (0, 1), {}, {})
             self._node_cache[key] = node
@@ -388,7 +388,7 @@ class FieldTower:
             H = [(c,) for c in f2.poly]
             alg = _TowerAlgebra(cur_poly, H)
             found = None
-            for (s, c_pow) in _shift_candidates(budget):
+            for (s, c_pow) in _shift_candidates():
                 # theta = y + s * x^c_pow
                 xp = alg.x_elem()
                 acc = alg.y_elem()
@@ -409,7 +409,7 @@ class FieldTower:
             if found is None:
                 raise FieldTowerError(
                     "no primitive element found for the compositum "
-                    f"(budget {budget})")
+                    f"(budget {SEARCH_BUDGET})")
             g, wx, wy, s, c_pow = found
             gen_images = {l: _compose_mod(img, wx, g)
                           for l, img in gen_images.items()}
@@ -474,7 +474,7 @@ class FieldTower:
         node.subfield_registry = reg
 
 
-def _shift_candidates(budget: int):
+def _shift_candidates():
     out = []
     s_values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
     for c_pow in (1, 2, 3):
@@ -482,11 +482,10 @@ def _shift_candidates(budget: int):
             if c_pow > 1 and s == 0:
                 continue
             out.append((s, c_pow))
-    return out[:budget]
+    return out
 
 
-def extend_inert(K: NumberFieldNode, ell: int, p: int,
-                 search_budget: int = 200) -> NumberFieldNode:
+def extend_inert(K: NumberFieldNode, ell: int, p: int) -> NumberFieldNode:
     """Degree-ell extension L of K with p inert and the subfield property
     (new chain level for ell, then the compositum with K's other parts)."""
     if not is_prime(ell):
@@ -499,9 +498,7 @@ def extend_inert(K: NumberFieldNode, ell: int, p: int,
             f"degree {K.degree * ell} exceeds the cap {tower.degree_cap}")
     levels = dict(K.levels)
     levels[ell] = levels.get(ell, 0) + 1
-    while len(tower.chains.get(ell, [])) < levels[ell]:
-        tower._grow_chain(ell, search_budget)
-    L = tower.node_for(levels, budget=search_budget)
+    L = tower.node_for(levels)
     L.registry()
     return L
 

@@ -3,7 +3,8 @@ one fraction-free (Bareiss) elimination for rank, determinant and
 rational solutions.
 
 Matrices are lists of rows of Python ints.  All transforms returned are
-unimodular, so every identity below holds exactly over ZZ.
+unimodular, so every identity below holds exactly over ZZ.  The Smith
+form pivots on the smallest entry, which keeps its transforms small.
 """
 
 from __future__ import annotations
@@ -131,31 +132,37 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     """Returns (D, U, V, U_inv) with U·A·V = D diagonal, d_1 | d_2 | ...,
     d_i >= 0, and U·U_inv = I.
 
-    U_inv is kept as the elimination runs: the inverse of each row
-    operation on U is applied to the columns of U_inv.  Inverting U
-    afterwards would take a second elimination on a matrix whose entries
-    can grow to hundreds of bits.
+    Euclidean elimination (Cohen, Alg. 2.4.14) by swaps and adding a
+    multiple of one row or column to another.  The pivot is the smallest
+    nonzero |entry| of the trailing block, so a remainder left in its row
+    or column is a strictly smaller next pivot.  U_inv is kept as the
+    elimination runs: the inverse of each row operation on U is applied
+    to the columns of U_inv.
     """
     n = len(A)
     m = len(A[0]) if A else 0
     D = [row[:] for row in A]
-    U = identity(n)
-    U_inv = identity(n)
-    V = identity(m)
+    U, U_inv, V = identity(n), identity(n), identity(m)
+
+    def add_row(dst, src, c):
+        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+        _addmul_col(U_inv, src, dst, -c)
+
     t = 0
     while t < min(n, m):
-        # find a nonzero pivot in the trailing block
-        piv = None
+        # smallest nonzero |entry|, the first on a tie; the row of the
+        # first unit ends the scan
+        best = 0
         for i in range(t, n):
             for j in range(t, m):
-                if D[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
+                a = abs(D[i][j])
+                if a and (not best or a < best):
+                    i0, j0, best = i, j, a
+            if best == 1:
                 break
-        if piv is None:
+        if not best:
             break
-        i0, j0 = piv
         if i0 != t:
             D[t], D[i0] = D[i0], D[t]
             U[t], U[i0] = U[i0], U[t]
@@ -163,68 +170,25 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
         if j0 != t:
             _swap_cols(D, t, j0)
             _swap_cols(V, t, j0)
-        while True:
-            # improve the pivot until it divides its whole row and column;
-            # each bezout step strictly shrinks |pivot|, so this terminates
-            improved = False
-            for i in range(t + 1, n):
-                a, b = D[t][t], D[i][t]
-                if b % a:
-                    g, x, y = xgcd(a, b)
-                    rt, ri = D[t], D[i]
-                    ut, ui = U[t], U[i]
-                    D[t] = [x * p + y * q for p, q in zip(rt, ri)]
-                    D[i] = [-(b // g) * p + (a // g) * q
-                            for p, q in zip(rt, ri)]
-                    U[t] = [x * p + y * q for p, q in zip(ut, ui)]
-                    U[i] = [-(b // g) * p + (a // g) * q
-                            for p, q in zip(ut, ui)]
-                    # [[x, y], [-b/g, a/g]]^-1 = [[a/g, -y], [b/g, x]]
-                    _combine_cols((U_inv,), t, i, a // g, b // g, -y, x)
-                    improved = True
-            for j in range(t + 1, m):
-                a, b = D[t][t], D[t][j]
-                if b % a:
-                    g, x, y = xgcd(a, b)
-                    _combine_cols((D, V), t, j, x, y, -(b // g), a // g)
-                    improved = True
-            if improved:
-                continue
-            # pivot divides everything: plain elimination, column first
-            # (row t untouched), then row (column t stays zero)
-            a = D[t][t]
-            for i in range(t + 1, n):
-                q = D[i][t] // a
-                if q:
-                    D[i] = [p - q * r for p, r in zip(D[i], D[t])]
-                    U[i] = [p - q * r for p, r in zip(U[i], U[t])]
-                    _addmul_col(U_inv, t, i, q)
-            for j in range(t + 1, m):
-                q = D[t][j] // a
-                if q:
-                    _addmul_col(D, j, t, -q)
-                    _addmul_col(V, j, t, -q)
-            if all(D[i][t] == 0 for i in range(t + 1, n)) and \
-                    all(D[t][j] == 0 for j in range(t + 1, m)):
-                break
-        # make the pivot divide the rest of the block
-        a = D[t][t]
-        bad = None
+        # reduce column t, then row t, by floor division
+        p = D[t][t]
         for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if D[i][j] % a:
-                    bad = i
-                    break
-            if bad:
-                break
-        if bad is not None:
-            for p in range(m):
-                D[t][p] += D[bad][p]
-            for p in range(n):
-                U[t][p] += U[bad][p]
-            _addmul_col(U_inv, bad, t, -1)
-            continue  # redo this pivot
-        if D[t][t] < 0:
+            if D[i][t]:
+                add_row(i, t, -(D[i][t] // p))
+        for j in range(t + 1, m):
+            q = D[t][j] // p
+            if q:
+                _addmul_col(D, j, t, -q)
+                _addmul_col(V, j, t, -q)
+        if any(D[i][t] for i in range(t + 1, n)) or any(D[t][t + 1:]):
+            continue  # a remainder is the next, smaller pivot
+        # make the pivot divide the rest of the block (a unit does)
+        bad = abs(p) > 1 and next((i for i in range(t + 1, n)
+                                   if any(x % p for x in D[i][t + 1:])), 0)
+        if bad:
+            add_row(t, bad, 1)
+            continue
+        if p < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
             for row in U_inv:

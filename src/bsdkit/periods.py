@@ -26,6 +26,7 @@ from .vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                         multiplicity_of_component, rational_function_order)
 
 DEFAULT_TOL = 1e-9
+EUCLID_STEPS = 256     # real-Euclid steps per input in lattice_generator
 
 
 class PeriodError(ValueError):
@@ -85,8 +86,8 @@ class LatticeGenerator:
     witness: List[int]     # value = |sum_i witness_i * input_i|
 
 
-def lattice_generator(values: Sequence[float], tol: float = DEFAULT_TOL,
-                      max_steps: int = 256) -> LatticeGenerator:
+def lattice_generator(values: Sequence[float], tol: float = DEFAULT_TOL
+                      ) -> LatticeGenerator:
     """Generator of the discrete subgroup of RR spanned by the values.
 
     Iterated real Euclid with a tolerance floor; keeps an integer witness
@@ -116,7 +117,7 @@ def lattice_generator(values: Sequence[float], tol: float = DEFAULT_TOL,
         steps = 0
         while b > floor:
             steps += 1
-            if steps > max_steps:
+            if steps > EUCLID_STEPS:
                 raise PeriodError(
                     "values do not generate a discrete subgroup of RR "
                     "(euclid fails to stabilize)")

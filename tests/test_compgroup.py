@@ -249,8 +249,6 @@ def test_component_group_factors_each_matrix_once(monkeypatch):
 
 
 def test_snf_inverse_on_shuffled_theta():
-    # the relation matrix of the theta graph (24, 24, 2) in this order gave
-    # U with entries of hundreds of bits
     n, edges, _ = theta_edges(24, 24, 2)
     F = graph_fibre(n, edges, list(range(n)), shuffled(n, 0))
     _, C, _ = _kernel_coordinates(F)
@@ -261,6 +259,18 @@ def test_snf_inverse_on_shuffled_theta():
     G = component_group(F)
     assert G.invariant_factors == [2, 336]
     assert fixed_point_count(G) == 24 * 24 + 2 * 24 * 2
+
+
+def test_snf_transforms_stay_small_on_shuffled_theta():
+    # in this order a pivot on the first nonzero entry, not the smallest,
+    # gives U, U_inv and V of thousands of bits
+    n, edges, _ = theta_edges(18, 20, 12)
+    A = graph_fibre(n, edges, list(range(n)), shuffled(n, 81)).intersections
+    D, U, V, U_inv = smith_normal_form(A)
+    assert mat_mul(mat_mul(U, A), V) == D
+    assert mat_mul(U, U_inv) == identity(n)
+    for M in (U, U_inv, V):
+        assert all(-2 ** 63 <= x < 2 ** 63 for row in M for x in row)
 
 
 def in_image(M, v):
@@ -490,9 +500,9 @@ class TestExpandOrbit:
 # ---------------------------------------------------------------------------
 # intmat property tests
 
-mat_strategy = st.lists(
-    st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-    min_size=2, max_size=4)
+mat_strategy = st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-60, 60), min_size=m, max_size=m),
+    min_size=1, max_size=6))
 
 
 def _det(M):
@@ -556,21 +566,43 @@ def test_hnf_check_rejects_other_column_forms():
     assert not is_column_hnf(mat_mul(H, [[0, 1], [1, 0]]))  # zero col first
 
 
-@settings(max_examples=80, deadline=None)
-@given(mat_strategy)
-def test_snf_properties(A):
+def check_snf_contract(A):
+    """The Smith form contract on A; returns the diagonal of D."""
     D, U, V, U_inv = smith_normal_form(A)
+    n, m = len(A), len(A[0]) if A else 0
     assert mat_mul(mat_mul(U, A), V) == D
-    assert mat_mul(U, U_inv) == identity(len(A))
+    assert mat_mul(U, U_inv) == identity(n)
     assert abs(_det(U)) == 1 and abs(_det(V)) == 1
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    assert all(len(row) == m for row in D) and len(D) == n
+    diag = [D[i][i] for i in range(min(n, m))]
+    assert all(d >= 0 for d in diag)
     for i in range(len(diag) - 1):
         if diag[i + 1]:
             assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    for i in range(len(D)):
-        for j in range(len(D[0])):
+    for i in range(n):
+        for j in range(m):
             if i != j:
                 assert D[i][j] == 0
+    return diag
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat_strategy)
+def test_snf_properties(A):
+    check_snf_contract(A)
+
+
+def test_snf_edge_shapes():
+    u, v = [2, -4, 6], [3, 0, -9, 6]
+    for A, diag, factors in (
+            ([], [], []),
+            ([[], []], [], []),
+            ([[0, 0, 0], [0, 0, 0]], [0, 0], []),
+            ([[-3]], [3], [3]),
+            ([[4], [6], [-10]], [2], [2]),
+            ([[a * b for b in v] for a in u], [6, 0, 0], [6])):
+        assert check_snf_contract(A) == diag, A
+        assert invariant_factors(A) == factors, A
 
 
 @settings(max_examples=60, deadline=None)
