@@ -41,6 +41,14 @@ class TestTamagawa:
         assert out == ""
         assert err  # names the offending pair
 
+    def test_disconnected_exit3(self, capsys):
+        # two disjoint 3-cycles pass every structural check
+        code, out, err = run(capsys, "tamagawa",
+                             fixture_path("disconnected.json"))
+        assert (code, out) == (3, "")
+        assert err == ("error: intersection graph is disconnected "
+                       "(matrix rank 4 != 5)\n")
+
     def test_p_mismatch(self, capsys):
         code, _, err = run(capsys, "tamagawa", fixture_path("cycle5.json"),
                            "--p", "5")

@@ -50,6 +50,14 @@ MULT2 = SpecialFibre(
     2, [Component("A", 2), Component("B", 1)],
     [[-1, 2], [2, -4]], {"A": "A", "B": "B"})
 
+# two disjoint 3-cycles: every structural check holds, rank M = 4 != 5
+TWO_TRIANGLES = SpecialFibre(
+    7, [Component(f"{a}{i}", 1) for a in "AB" for i in range(3)],
+    [[0 if (i < 3) != (j < 3) else -2 if i == j else 1 for j in range(6)]
+     for i in range(6)],
+    {f"{a}{i}": f"{a}{i}" for a in "AB" for i in range(3)})
+DISCONNECTED = "intersection graph is disconnected (matrix rank 4 != 5)"
+
 
 # ---------------------------------------------------------------------------
 # validate_fibre
@@ -96,6 +104,13 @@ class TestComponentGroup:
     def test_two_components_z2(self):
         G = component_group(cycle_fibre(2))
         assert G.invariant_factors == [2]
+
+    @pytest.mark.parametrize("compute", [component_group,
+                                         brute_force_component_group])
+    def test_disconnected_fibre_refused(self, compute):
+        with pytest.raises(FibreError) as info:
+            compute(TWO_TRIANGLES)
+        assert str(info.value) == DISCONNECTED
 
     def test_cycle5_identity_frobenius(self):
         assert tamagawa_number(cycle_fibre(5)) == 5
