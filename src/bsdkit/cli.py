@@ -4,12 +4,15 @@ Commands: tamagawa, vanishing-order, period, gb, extend-field.
 Exit codes: 0 success (stdout is exactly one JSON document), 2 malformed
 input (schema/parse/reference errors), 3 mathematical validation failure.
 Diagnostics go to stderr.  BSDKIT_GB_BUDGET (an integer >= 1) overrides
-the Groebner pair budget for one main() call.
+the Groebner pair budget for one main() call.  The argument parser is
+built once per process, on the first main() call, and holds no state
+between calls: each parse_args makes a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,6 +247,7 @@ def cmd_extend_field(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bsdkit",

@@ -13,6 +13,7 @@ counts Frobenius-fixed elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
@@ -58,20 +59,24 @@ class FinAbGroupWithAction:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 def validate_fibre(F: SpecialFibre) -> List[str]:
-    """All SpecialFibre invariants; returns a list of failure messages."""
+    """The structural SpecialFibre invariants, as failure messages."""
+    return _structure(F)[0]
+
+
+def _structure(F: SpecialFibre) -> Tuple[List[str], List[int]]:
+    """validate_fibre's messages and the Frobenius permutation sigma
+    (P·e_i = e_sigma(i)) from one id -> index map, [] if not reached."""
     out: List[str] = []
     n = len(F.components)
     ids = [c.id for c in F.components]
-    if len(set(ids)) != n:
+    pos = {cid: i for i, cid in enumerate(ids)}
+    if len(pos) != n:
         out.append("duplicate component ids")
-        return out
+        return out, []
     for c in F.components:
         if c.multiplicity < 1:
             out.append(f"component {c.id}: multiplicity "
@@ -79,7 +84,7 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
     M = F.intersections
     if len(M) != n or any(len(row) != n for row in M):
         out.append(f"intersection matrix is not {n}x{n}")
-        return out
+        return out, []
     for i in range(n):
         for j in range(i + 1, n):
             if M[i][j] != M[j][i]:
@@ -92,11 +97,11 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
         if s != 0:
             out.append(f"weighted row sum for component {ids[i]} "
                        f"is {s}, not 0")
-    if set(F.frobenius.keys()) != set(ids) or \
-            set(F.frobenius.values()) != set(ids):
+    if set(F.frobenius.keys()) != pos.keys() or \
+            set(F.frobenius.values()) != pos.keys():
         out.append("frobenius is not a permutation of the component ids")
-        return out
-    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+        return out, []
+    sigma = [pos[F.frobenius[cid]] for cid in ids]
     for i in range(n):
         if m[sigma[i]] != m[i]:
             out.append(f"frobenius does not preserve the multiplicity "
@@ -106,25 +111,27 @@ def validate_fibre(F: SpecialFibre) -> List[str]:
             if M[sigma[i]][sigma[j]] != M[i][j]:
                 out.append(f"frobenius does not preserve the intersection "
                            f"number of ({ids[i]}, {ids[j]})")
-    if not out and n > 0:
-        rank = rank_det(M)[0]
-        if rank != n - 1:
-            out.append(f"intersection graph is disconnected "
-                       f"(matrix rank {rank} != {n - 1})")
-    return out
+    return out, sigma
+
+
+def _require_connected(rank: int, n: int):
+    if n and rank != n - 1:
+        raise FibreError(f"intersection graph is disconnected "
+                         f"(matrix rank {rank} != {n - 1})")
 
 
 def component_group(F: SpecialFibre) -> FinAbGroupWithAction:
     """The torsion of coker M from one Smith form U·M·V = D: coordinate t
     of U·x is cyclic of order d_t, so the generators are the columns of
     U^-1 with d_t > 1 (t < n - 1; d_{n-1} = 0 is the free part) and the
-    Frobenius P·e_i = e_sigma(i) acts on them as U·P·U^-1."""
-    diags = validate_fibre(F)
+    Frobenius P·e_i = e_sigma(i) acts on them as U·P·U^-1.  The same D
+    gives rank M, checked here to be n - 1 (a connected fibre)."""
+    diags, sigma = _structure(F)
     if diags:
         raise FibreError("; ".join(diags))
     n = len(F.components)
     D, U, _, Uinv = smith_normal_form(F.intersections)
-    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+    _require_connected(sum(1 for t in range(n) if D[t][t]), n)
     torsion = [t for t in range(n - 1) if D[t][t] > 1]
     generators = [[Uinv[i][t] for i in range(n)] for t in torsion]
     # (U·P·U^-1)[s][t] = sum_i U[s][sigma(i)]·U^-1[i][t]
@@ -143,33 +150,27 @@ def fixed_point_count(G: FinAbGroupWithAction) -> int:
     """|ker(action - 1)| on ⊕ ZZ/d_i, via the Smith form of the stacked
     relation matrix [A - I | diag(d)]."""
     t = len(G.invariant_factors)
-    if t == 0:
-        return 1
     A = G.action_matrix
     stacked = [[A[i][j] - (1 if i == j else 0) for j in range(t)]
                + [G.invariant_factors[i] if j == i else 0 for j in range(t)]
                for i in range(t)]
-    facs = invariant_factors(stacked)
     # [A-I | diag(d)] has full row rank (it contains diag(d)), so the
     # kernel count equals the product of its t invariant factors
-    c = 1
-    for d in facs:
-        c *= d
-    return c
+    return prod(invariant_factors(stacked))
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
 
-def _kernel_coordinates(F: SpecialFibre):
+def _kernel_coordinates(F: SpecialFibre, sigma: List[int]):
     """Kernel basis B of the multiplicity vector, the relation matrix C
     with B·C = intersection matrix (columns of C are im alpha-bar in
     kernel coordinates) and the Frobenius A on kernel coordinates, with
-    B·A = P·B.  Both are solved together against one Smith form of B."""
+    B·A = P·B (sigma as from _structure).  Both are solved together
+    against one Smith form of B."""
     n = len(F.components)
     B = kernel_basis([F.multiplicities])          # n x (n-1)
-    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
     PB: List[List[int]] = [[]] * n
     for i in range(n):
         PB[sigma[i]] = B[i]
@@ -235,22 +236,18 @@ def _invariants_from_counts(order: int, kill_count) -> List[int]:
 def brute_force_component_group(F: SpecialFibre, cap: int = 10 ** 4
                                 ) -> GroupTable:
     """Enumerates ker beta-bar modulo im alpha-bar by coset hashing."""
-    diags = validate_fibre(F)
+    diags, sigma = _structure(F)
     if diags:
         raise FibreError("; ".join(diags))
     n = len(F.components)
+    _require_connected(rank_det(F.intersections)[0], n)
     if n == 1:
         return GroupTable(1, [], 1, [()])
-    B, C, A = _kernel_coordinates(F)
+    B, C, A = _kernel_coordinates(F, sigma)
     r = len(C)
     H, _ = hermite_normal_form(C)     # r x n, first r columns triangular
     piv = [H[i][i] for i in range(r)]
-    order = 1
-    for d in piv:
-        if d == 0:
-            raise FibreError("component group is infinite "
-                             "(disconnected fibre)")
-        order *= d
+    order = prod(piv)
     if order > cap:
         raise FibreError(f"group order {order} exceeds cap {cap}")
 

@@ -1,10 +1,14 @@
 """cli module: commands, exit codes, JSON output contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from bsdkit.cli import main
+import bsdkit
+from bsdkit.cli import build_parser, main
 
 from conftest import alarm, fixture_path
 
@@ -396,6 +400,55 @@ def test_gb_budget_below_one_exit2(capsys, monkeypatch, value):
     code, out, err = _sect31_order_of_2(capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: BSDKIT_GB_BUDGET ")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: no default, namespace or budget leaks between calls
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+# (argv, BSDKIT_GB_BUDGET or None); at --ell 2,2 the seed changes the
+# answer, so a --seed 5 left behind in the parser would show
+REUSE_SEQUENCE = [
+    (("vanishing-order", "sect31.json", "--function", "2"), None),
+    (("tamagawa", "cycle5.json"), None),
+    (("extend-field", "--ell", "2,2", "--p", "3", "--seed", "5"), None),
+    (("extend-field", "--ell", "2,2", "--p", "3"), None),
+    (SECT31_ORDER_OF_2, "1"),
+    (SECT31_ORDER_OF_2, None),
+]
+
+
+def _alone(argv, budget):
+    """Exit code and stdout of one CLI call in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if k != "BSDKIT_GB_BUDGET"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bsdkit.__file__))
+    if budget is not None:
+        env["BSDKIT_GB_BUDGET"] = budget
+    proc = subprocess.run([sys.executable, "-m", "bsdkit.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    return proc.returncode, proc.stdout
+
+
+def test_calls_in_one_process_match_calls_alone(capsys, monkeypatch):
+    got = []
+    for argv, budget in REUSE_SEQUENCE:
+        argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+        if budget is None:
+            monkeypatch.delenv("BSDKIT_GB_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("BSDKIT_GB_BUDGET", budget)
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse refuses a missing flag
+            code = exc.code
+        got.append((code, capsys.readouterr().out))
+        assert got[-1] == _alone(argv, budget), argv
+    assert [code for code, _ in got] == [2, 0, 0, 0, 3, 0]
+    assert got[2][1] != got[3][1]
 
 
 # ---------------------------------------------------------------------------

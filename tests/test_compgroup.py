@@ -1,6 +1,7 @@
 """compgroup module: component groups, Tamagawa numbers, orbit expansion,
 and the exact integer matrix layer (intmat)."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bsdkit.compgroup as compgroup
+import bsdkit.intmat as intmat
+from bsdkit.cli import main
 from bsdkit.compgroup import (Component, FibreError, OrbitCluster,
                               SpecialFibre, _kernel_coordinates,
                               assemble_fibre,
@@ -18,9 +22,10 @@ from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            inverse_unimodular, kernel_basis, mat_mul,
                            rank_det, smith_normal_form, solve_integer,
                            solve_integer_matrix, solve_rational)
+from bsdkit.modelfile import load_model, parse_fibre
 from bsdkit.rings import QQ, mat_rref
 
-from conftest import criterion4_corpus, criterion5_fibres
+from conftest import criterion4_corpus, criterion5_fibres, fixture_path
 
 
 def cycle_fibre(n, p=7, rot=0, mults=None):
@@ -111,6 +116,26 @@ class TestComponentGroup:
         with pytest.raises(FibreError) as info:
             compute(TWO_TRIANGLES)
         assert str(info.value) == DISCONNECTED
+
+    def test_validate_fibre_is_structural_only(self):
+        assert validate_fibre(TWO_TRIANGLES) == []
+
+    @pytest.mark.parametrize("name", ["cycle5.json", "star4.json",
+                                      "mult2.json"])
+    def test_no_second_elimination(self, monkeypatch, capsys, name):
+        # rank M = n - 1 comes from the Smith form component_group takes;
+        # only the brute-force oracle runs its own rank_det
+        def refuse(M):
+            raise AssertionError("rank_det on the production path")
+
+        monkeypatch.setattr(intmat, "rank_det", refuse)
+        monkeypatch.setattr(compgroup, "rank_det", refuse)
+        F = parse_fibre(load_model(fixture_path(name)))
+        G = component_group(F)
+        assert tamagawa_number(F) == fixed_point_count(G)
+        assert main(["tamagawa", fixture_path(name)]) == 0
+        assert json.loads(capsys.readouterr().out)["invariant_factors"] \
+            == G.invariant_factors
 
     def test_cycle5_identity_frobenius(self):
         assert tamagawa_number(cycle_fibre(5)) == 5
@@ -266,7 +291,8 @@ def test_component_group_factors_each_matrix_once(monkeypatch):
 def test_snf_inverse_on_shuffled_theta():
     n, edges, _ = theta_edges(24, 24, 2)
     F = graph_fibre(n, edges, list(range(n)), shuffled(n, 0))
-    _, C, _ = _kernel_coordinates(F)
+    sigma = [F.index(F.frobenius[c.id]) for c in F.components]
+    _, C, _ = _kernel_coordinates(F, sigma)
     for A in (C, F.intersections):
         D, U, V, U_inv = smith_normal_form(A)
         assert mat_mul(mat_mul(U, A), V) == D
