@@ -10,7 +10,8 @@ degree, with embedding witnesses.
 
 Polynomials here are univariate, encoded as tuples of coefficients in
 ascending degree: ints for ZZ-level data, Fractions for QQ-level
-embeddings.  Their arithmetic is the ring-generic layer of `rings`.
+embeddings.  Their arithmetic is the univariate layer of `rings`, which
+computes on these plain numbers directly.
 The primitive-element candidates are algebraic integers, so their
 algebra stays over ZZ and Fractions enter their minimal polynomials only
 through the witnesses of one fraction-free solve.
@@ -18,7 +19,6 @@ through the witnesses of one fraction-free solve.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -274,11 +274,20 @@ def is_inert(f, p: int) -> bool:
 
 def _random_irreducible(R: CoefficientRing, degree: int, rng: random.Random):
     """Monic irreducible of the given degree over GF(p^k) = R, k >= 2, with
-    coefficients drawn uniformly from R."""
-    elements = [R.coerce(c)
-                for c in itertools.product(range(R.p), repeat=R.k)]
+    coefficients drawn uniformly from R: each is the element of index
+    rng.randrange(p^k) in the order of itertools.product(range(p),
+    repeat=k), found by its base-p digits instead of a list of all p^k."""
+    p, k = R.p, R.k
+
+    def draw():
+        i, digits = rng.randrange(p ** k), []
+        for _ in range(k):
+            i, d = divmod(i, p)
+            digits.append(d)
+        return R.coerce(tuple(reversed(digits)))
+
     for _ in range(IRREDUCIBLE_TRIES):
-        f = tuple(rng.choice(elements) for _ in range(degree)) + (R.one(),)
+        f = tuple(draw() for _ in range(degree)) + (R.one(),)
         if up_is_irreducible(R, f):
             return f
     raise FieldTowerError("budget exhausted searching for an irreducible "

@@ -8,10 +8,16 @@ degree first) for GF(p^k).  Rings are immutable and hashable; all element
 operations are pure functions on the ring object.  QQ serves the
 univariate and matrix layers only (number-field towers); the Groebner
 code rejects it.
+
+The univariate layer computes on plain numbers over ZZ, QQ, ZZ/p^e and
+GF(p), reducing by the integer modulus once per output coefficient;
+GF(p^k) is the one ring whose coefficients go through the ring's
+operations, which in turn run the layer over GF(p).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -21,7 +27,7 @@ class RingError(ValueError):
 
 
 # the largest k of GF(p^k): finding and testing a degree-k modulus grows
-# steeply with k (0.8 s for GF(2^64), 16 s for GF(2^96) on a 2-core
+# steeply with k (0.11 s for GF(2^64), 3.0 s for GF(2^96) on a 2-core
 # x86-64 VM)
 MAX_FIELD_DEGREE = 64
 
@@ -32,6 +38,13 @@ MAX_FIELD_DEGREE = 64
 # k <= 8, and p <= 3 with k <= 64; next are GF(37^19) 1,337, GF(181^13)
 # 919 and GF(97^19) 900)
 MAX_MODULUS_CANDIDATES = 4096
+
+# the largest k * bit_length(p) of GF(p^k) with k >= 2, a bound on the cost
+# of one modulus test, which makes about k^2 * k * bit_length(p) coefficient
+# products.  On a 2-core x86-64 VM one test at 256 takes at most 0.15 s
+# (GF(13^64)) and the slowest search measured at 256, GF(11^64), 26 s;
+# GF(1000003^32) (640) took 9 s.  Every field counted above is at most 192.
+MAX_FIELD_BITS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,8 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 # dense univariate polynomials over a ring R: tuples of elements of R, low
 # degree first, with no trailing zeros.  Zero is the only falsy element of
 # every ring kind, so `if c` tests c != 0.  Division needs a unit as the
-# divisor's leading coefficient.
+# divisor's leading coefficient.  Each function picks its path once per
+# call, not per coefficient (module docstring).
 
 
 def up(R, coeffs):
@@ -126,65 +140,102 @@ def up_trim(R, c):
     return tuple(c)
 
 
+def _reduced(R, c):
+    """up_trim of the list c, each entry first reduced by R's integer
+    modulus: p^e over ZZ/p^e, p over GF(p), none over ZZ, QQ and GF(p^k)."""
+    m = None if R.kind == "GFext" else R.m or R.p
+    return up_trim(R, [x % m for x in c] if m else c)
+
+
 def up_add(R, a, b):
     if len(a) < len(b):
         a, b = b, a
-    add = R.add
+    add = R.add if R.kind == "GFext" else operator.add
     out = list(a)
     for i, y in enumerate(b):
         out[i] = add(out[i], y)
-    return up_trim(R, out)
+    return _reduced(R, out)
 
 
 def up_sub(R, a, b):
-    sub = R.sub
+    sub = R.sub if R.kind == "GFext" else operator.sub
     out = list(a) + [R.zero()] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] = sub(out[i], y)
-    return up_trim(R, out)
+    return _reduced(R, out)
 
 
 def up_scale(R, a, c):
-    mul = R.mul
-    return up_trim(R, [mul(c, x) for x in a])
+    mul = R.mul if R.kind == "GFext" else operator.mul
+    return _reduced(R, [mul(c, x) for x in a])
 
 
 def up_mul(R, a, b):
     if not a or not b:
         return ()
-    add, mul = R.add, R.mul
     out = [R.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
-    return up_trim(R, out)
+    if R.kind == "GFext":
+        add, mul = R.add, R.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] = add(out[j], mul(x, y))
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return _reduced(R, out)
+
+
+def _divide(R, a, b, q):
+    """The remainder of a by b (deg < deg b), by long division of the list
+    a in place; when q is a list, q[d] receives the quotient's coefficient
+    of x^d."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    n = len(b) - 1
+    inv = R.inv(b[-1])
+    low = b[:n]
+    # the leading term of a cancels exactly; it is popped, not updated
+    if R.kind == "GFext":
+        sub, mul = R.sub, R.mul
+        while len(a) > n:
+            c = a.pop()
+            if not c:
+                continue
+            c = mul(c, inv)
+            if q is not None:
+                q[len(a) - n] = c
+            for i, y in enumerate(low, len(a) - n):
+                a[i] = sub(a[i], mul(c, y))
+    else:
+        # entries of a are reduced when they become a quotient coefficient
+        # or the remainder, not after each update
+        m = R.m or R.p
+        while len(a) > n:
+            c = a.pop() * inv
+            if m:
+                c %= m
+            if not c:
+                continue
+            if q is not None:
+                q[len(a) - n] = c
+            for i, y in enumerate(low, len(a) - n):
+                a[i] -= c * y
+    return _reduced(R, a)
 
 
 def up_divmod(R, a, b):
     """(q, r) with a = q*b + r and deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    sub, mul = R.sub, R.mul
-    a = list(a)
-    n = len(b) - 1
-    inv = R.inv(b[-1])
-    q = [R.zero()] * max(0, len(a) - n)
-    while len(a) > n:
-        c = a.pop()
-        if not c:
-            continue
-        c = mul(c, inv)
-        d = len(a) - n
-        q[d] = c
-        # the leading term cancels exactly; it was popped above
-        for i in range(n):
-            a[d + i] = sub(a[d + i], mul(c, b[i]))
-    return up_trim(R, q), up_trim(R, a)
+    q = [R.zero()] * max(0, len(a) - len(b) + 1)
+    r = _divide(R, list(a), b, q)
+    return up_trim(R, q), r
 
 
 def up_mod(R, a, b):
-    return up_divmod(R, a, b)[1]
+    """The remainder of a by b; the quotient is not built."""
+    return _divide(R, list(a), b, None)
 
 
 def up_gcd(R, a, b):
@@ -373,6 +424,10 @@ class CoefficientRing:
         F = CoefficientRing("GF", p=p, e=1, k=1)
         if k == 1:
             return F
+        if k * p.bit_length() > MAX_FIELD_BITS:
+            raise RingError(f"GF({p}^{k}): size k*bits(p) = "
+                            f"{k * p.bit_length()} exceeds the cap "
+                            f"{MAX_FIELD_BITS}")
         if modulus is None:
             modulus = find_irreducible(p, k)
         modulus = up(F, modulus)

@@ -195,6 +195,22 @@ class TestPeriod:
         if exit_code:
             assert out == "" and "exceeds the cap 64" in err
 
+    def test_field_size_cap(self, tmp_path, capsys):
+        # GF(1000003^64) is within the degree cap, but its k*bits(p) of
+        # 1280 is refused before any modulus is searched
+        with open(fixture_path("genus2_p2.json")) as fh:
+            doc = json.load(fh)
+        doc["p"] = 1000003
+        doc["special_fibre"]["components"][0]["prime_ideal"][1] = "1000003"
+        doc["charts"][0]["sample_points"][0]["field_degree"] = 64
+        path = tmp_path / "size1280.json"
+        path.write_text(json.dumps(doc))
+        with alarm(10):
+            code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                                 fixture_path("matrix_g2.json"))
+        assert code == 3 and out == ""
+        assert "1280 exceeds the cap 256" in err
+
     def test_repeated_prime_exit2(self, capsys):
         scaled = fixture_path("genus2_p2_scaled.json")
         code, out, err = run(capsys, "period", scaled, scaled,
@@ -278,6 +294,20 @@ class TestGb:
                                  "GF(2^1000)", "x")
         assert code == 2 and out == ""
         assert "degree 1000 exceeds the cap 64" in err
+
+    def test_field_size_cap_exit2(self, capsys):
+        with alarm(10):
+            code, out, err = run(capsys, "gb", "--vars", "x", "--ring",
+                                 "GF(1000003^64)", "x")
+        assert code == 2 and out == ""
+        assert "1280 exceeds the cap 256" in err
+
+    @pytest.mark.parametrize("spec", ["GF(2^64)", "GF(3^64)"])
+    def test_fields_within_size_cap(self, capsys, spec):
+        with alarm(30):
+            doc = run_json(capsys, "gb", "--vars", "x", "--ring", spec,
+                           "x^2 - 1")
+        assert doc["size"] == 1
 
     def test_large_prime_field(self, capsys):
         # no x^4 + c is irreducible over GF(1000003), and the search skips

@@ -1,6 +1,7 @@
 """fieldtower module: inert towers, subfield registry, discriminant
 descent, resultants, compositions over ZZ."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from bsdkit.fieldtower import (FieldTower, FieldTowerError, _compose_mod,
 from bsdkit.intmat import rank_det
 from bsdkit.rings import (QQ, ZZ, CoefficientRing, mat_rref, up, up_add,
                           up_is_irreducible, up_mod, up_mul, up_scale, up_sub)
+from conftest import alarm
 
 uq = partial(up, QQ)
 
@@ -437,6 +439,33 @@ class TestExtendInert:
         for d, (node, w) in K.registry().items():
             # sub poly evaluated at the witness is 0 mod defining poly
             assert not uq_compose_mod(uq(node.defining_poly), w, gmod)
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (2, 4)])
+    def test_random_irreducible_draws_from_all_elements(self, p, k):
+        # drawing an index matches rng.choice over the list of all p^k
+        # elements in itertools.product order
+        R = CoefficientRing.GF(p, k)
+        elements = [R.coerce(c)
+                    for c in itertools.product(range(p), repeat=k)]
+        for seed in range(20):
+            rng = random.Random(seed)
+            while True:
+                f = tuple(rng.choice(elements) for _ in range(3))
+                f += (R.one(),)
+                if up_is_irreducible(R, f):
+                    break
+            assert fieldtower._random_irreducible(
+                R, 3, random.Random(seed)) == f
+
+    def test_large_residue_field(self):
+        # the 2-chain to degree 8 draws over GF(101^4), 104,060,401
+        # elements, without listing them
+        with alarm(30):
+            node = FieldTower(101, seed=1).base_node()
+            for _ in range(3):
+                node = extend_inert(node, 2, 101)
+        assert node.degree == 8
+        assert is_inert(node.defining_poly, 101)
 
     def test_nonprime_ell_rejected(self):
         tower = FieldTower(2)

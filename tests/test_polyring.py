@@ -242,6 +242,18 @@ def test_field_degree_capped_before_modulus_search(monkeypatch):
         CoefficientRing.GF(2, rings.MAX_FIELD_DEGREE + 1)
     with pytest.raises(RingError, match="exceeds the cap 64"):
         CoefficientRing.GF(3, 65, modulus=(1,) * 66)
+    # k * bit_length(p) above MAX_FIELD_BITS: 5 * 64 and 20 * 32
+    with pytest.raises(RingError, match="320 exceeds the cap 256"):
+        CoefficientRing.GF(17, 64)
+    with pytest.raises(RingError, match="640 exceeds the cap 256"):
+        CoefficientRing.GF(1000003, 32, modulus=(1,) * 33)
+
+
+@pytest.mark.parametrize("p, k", [(13, 64), (2 ** 127 - 1, 2)])
+def test_field_size_cap_admits_its_bound(p, k):
+    # 4 * 64 = 256 and 127 * 2 = 254 bits
+    R = CoefficientRing.GF(p, k)
+    assert R.k == k and len(R.modulus) == k + 1
 
 
 def first_irreducible_by_full_scan(p, k):

@@ -1,4 +1,5 @@
-"""rings: the dense univariate-polynomial layer over GF(p), GF(p^k) and QQ."""
+"""rings: the dense univariate-polynomial layer over ZZ, ZZ/2^3, GF(5),
+GF(2^2), GF(3^3) and QQ."""
 
 import itertools
 import random
@@ -6,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from bsdkit.rings import (QQ, CoefficientRing, up, up_add, up_divmod, up_gcd,
-                          up_is_irreducible, up_is_squarefree, up_mod, up_mul)
+from bsdkit.rings import (QQ, ZZ, CoefficientRing, RingError, up, up_add,
+                          up_divmod, up_gcd, up_is_irreducible,
+                          up_is_squarefree, up_mod, up_mul, up_powmod)
 
 RINGS = {
+    "ZZ": ZZ,
+    "ZZ/2^3": CoefficientRing.Zmod(2, 3),
     "GF(5)": CoefficientRing.GF(5),
     "GF(2^2)": CoefficientRing.GF(2, 2),
     "GF(3^3)": CoefficientRing.GF(3, 3),
@@ -18,15 +22,21 @@ RINGS = {
 
 
 def random_element(R, rng):
+    if R.kind == "ZZ":
+        return rng.randint(-9, 9)
     if R.kind == "QQ":
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    if R.kind == "GF":
-        return rng.randrange(R.p)
+    if R.kind in ("Zmod", "GF"):
+        return rng.randrange(R.m or R.p)
     return R.coerce(tuple(rng.randrange(R.p) for _ in range(R.k)))
 
 
 def random_poly(R, rng, degree):
-    lead = random_element(R, rng) or R.one()
+    """A polynomial of the given degree whose leading coefficient is a unit
+    (1 over ZZ)."""
+    lead = random_element(R, rng)
+    if not R.is_unit(lead) or R.kind == "ZZ":
+        lead = R.one()
     return up(R, [random_element(R, rng) for _ in range(degree)] + [lead])
 
 
@@ -41,6 +51,14 @@ def degree(a):
     return len(a) - 1
 
 
+def assert_reduced(R, *polys):
+    """Over ZZ/p^e and GF(p) every coefficient is a plain int in [0, m)."""
+    if R.kind in ("Zmod", "GF"):
+        m = R.m or R.p
+        for f in polys:
+            assert all(type(c) is int and 0 <= c < m for c in f), (R, f)
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_division_gcd_and_composition(name):
     R = RINGS[name]
@@ -49,8 +67,13 @@ def test_division_gcd_and_composition(name):
         b = random_poly(R, rng, rng.randint(0, 4))
         a = random_poly(R, rng, rng.randint(0, 7))
         q, r = up_divmod(R, a, b)
-        assert up_add(R, up_mul(R, q, b), r) == a
+        qb = up_mul(R, q, b)
+        assert up_add(R, qb, r) == a
         assert degree(r) < degree(b)
+        assert up_mod(R, a, b) == r
+        assert_reduced(R, q, r, qb)
+        if not R.is_field():
+            continue
         # a common factor shows up in the gcd
         c = random_poly(R, rng, rng.randint(1, 2))
         g = up_gcd(R, up_mul(R, a, c), up_mul(R, b, c))
@@ -58,6 +81,39 @@ def test_division_gcd_and_composition(name):
         assert not up_mod(R, up_mul(R, a, c), g)
         assert not up_mod(R, up_mul(R, b, c), g)
         assert not up_mod(R, g, c)
+
+
+@pytest.mark.parametrize("R", [ZZ, CoefficientRing.Zmod(2, 3)],
+                         ids=["ZZ", "ZZ/2^3"])
+def test_non_unit_lead_refused(R):
+    a, b = up(R, (1, 2, 3)), up(R, (1, 2))
+    with pytest.raises(RingError):
+        up_divmod(R, a, b)
+    with pytest.raises(RingError):
+        up_mod(R, a, b)
+
+
+def test_number_rings_make_no_ring_calls(monkeypatch):
+    # over ZZ, GF(p), ZZ/p^e and QQ the layer computes on plain numbers;
+    # only GF(p^k) elements go through the ring's add/sub/mul
+    rings = [ZZ, CoefficientRing.GF(7), CoefficientRing.Zmod(2, 3), QQ,
+             CoefficientRing.GF(2, 2)]
+
+    def calls(R):
+        a = up(R, (3, 1, 4, 1, 5, 9, 2))
+        b = up(R, (2, 7, 1, 1))
+        return (up_mul(R, a, b), up_divmod(R, a, b), up_mod(R, a, b),
+                up_powmod(R, a, 11, b))
+
+    expected = [calls(R) for R in rings]
+    for name in ("add", "sub", "mul"):
+        def guarded(self, x, y, generic=getattr(CoefficientRing, name),
+                    name=name):
+            if self.kind != "GFext":
+                raise AssertionError(f"CoefficientRing.{name} over {self!r}")
+            return generic(self, x, y)
+        monkeypatch.setattr(CoefficientRing, name, guarded)
+    assert [calls(R) for R in rings] == expected
 
 
 def test_qq_never_yields_floats():
