@@ -14,7 +14,11 @@ through the ring's methods.
 Before any pair is queued the generators are inter-reduced, smallest
 leading monomial first, and those that reduce to zero are dropped: the
 reduced strong basis is unique (Norton & Salagean 2001), so this changes
-the work, not the result.
+the work, not the result.  Every entry of a run, the kept generators and
+the elements the completion adds alike, goes through one Gebauer-Moller
+pair update (Gebauer & Moller 1988); over the chain rings its criteria
+prune the pairs among the generators and against a known basis too, and
+over ZZ every pair is queued.
 An ideal quotient (I : f) is one Buchberger run in I's own variables:
 I's reduced basis completed with f, reporting the f-cofactor of every
 syzygy it meets (Moller 1988); no tag variable and no division.
@@ -355,7 +359,11 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
     x-cofactor is one reported here or lies in J.  The Koszul syzygy
     h_j*h_i - h_i*h_j of a pair the product criterion skips has
     x-cofactor h_j*c_i - h_i*c_j = (h_j - c_j*x)*c_i - (h_i - c_i*x)*c_j,
-    which is in J.  A sink that raises ends the run.
+    which is in J.  The other pairs the Gebauer-Moller criteria drop,
+    the generators' and x's included, have lead syzygies generated by
+    those of the kept pairs and the Koszul ones.  A pair inside ``base``
+    is never queued: its lift involves ``base`` entries alone, with
+    x-cofactor 0.  A sink that raises ends the run.
     """
     _check_ring(ring)
     max_pairs = max_pairs or DEFAULT_MAX_PAIRS
@@ -375,33 +383,6 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         if cof:
             sink(cof)
 
-    G: List[_Entry] = list(base.entries) if base is not None else []
-    n_known = len(G)   # entries of G that come from base
-    later = []
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        # 0 packs the monomial 1
-        cof = ({0: ring.one()} if i == len(gens) - 1 else {}) \
-            if track else None
-        later.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
-    # inter-reduce the generators, smallest lead first, against the base
-    # and those already kept: the ideal is the same, so is its reduced
-    # basis, and redundant generators (most of a product's) queue no pairs
-    R = _Reducers(ring, pk, base=base)
-    later.sort(key=operator.attrgetter("lm"))
-    for g in later:
-        cof = dict(g.cof) if track else None
-        nf = _reduce(ring, g.terms, R, cof) if len(R) else g.terms
-        if not nf:
-            report(cof)
-            continue
-        if nf != g.terms:
-            check_degree(nf)
-            g = _normalize(ring, pk, nf, cof)
-        G.append(g)
-        R.add(g)
-
     pairs: List[Tuple] = []   # heap of (degree, -lcm, i, j)
     alive: set = set()        # surviving (i, j) pairs
     pair_T: Dict[Tuple[int, int], Tuple] = {}  # (i, j) -> (v, lcm monomial)
@@ -411,7 +392,9 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         # the p-valuation of the lead: 0 over a field, taken as 0 over ZZ
         return 0 if is_zz else ring.unit_val(entry.lc)[0]
 
-    vals: List[int] = []
+    G: List[_Entry] = list(base.entries) if base is not None else []
+    vals: List[int] = [lead_val(g) for g in G]
+    R = _Reducers(ring, pk, base=base)
 
     def pair_term(i, j):
         return (max(vals[i], vals[j]), pack(map(max, G[i].exp, G[j].exp)))
@@ -422,11 +405,13 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         L = T[1]
         heapq.heappush(pairs, (L & low, -L, i, j))
 
-    # Gebauer-Moller update: leading terms include the p-valuation of the
-    # leading coefficient, so term divisibility is (v_k <= v, lm_k | L).
-    # Valid for the chain rings, fields included (v = 0 throughout); over
-    # ZZ pairs also carry G-polynomials, so no elimination is done.
-    def push_elem(entry) -> int:
+    # Gebauer-Moller update of every entry after the base: leading terms
+    # include the p-valuation of the leading coefficient, so term
+    # divisibility is (v_k <= v, lm_k | L).  Valid for the chain rings,
+    # fields included (v = 0 throughout), as the base's own pairs count
+    # as treated; over ZZ pairs also carry G-polynomials, so none is
+    # eliminated.
+    def push_elem(entry):
         idx = len(G)
         G.append(entry)
         R.add(entry)
@@ -462,14 +447,29 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
                 push_pair(i, idx, new_T[i])
         if vals[idx] > 0:
             ann_queue.append(idx)
-        return idx
 
-    n0 = len(G)
-    vals = [lead_val(G[i]) for i in range(n0)]
-    for i in range(n0):
-        for j in range(max(i + 1, n_known), n0):
-            push_pair(i, j, pair_term(i, j))
-    ann_queue.extend(i for i in range(n_known, n0) if vals[i] > 0)
+    later = []
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        # 0 packs the monomial 1
+        cof = ({0: ring.one()} if i == len(gens) - 1 else {}) \
+            if track else None
+        later.append(_normalize(ring, pk, pk.pack_dict(g.terms), cof))
+    # inter-reduce the generators, smallest lead first, against the base
+    # and those already kept: the ideal is the same, so is its reduced
+    # basis, and redundant generators (most of a product's) queue no pairs
+    later.sort(key=operator.attrgetter("lm"))
+    for g in later:
+        cof = dict(g.cof) if track else None
+        nf = _reduce(ring, g.terms, R, cof) if len(R) else g.terms
+        if not nf:
+            report(cof)
+            continue
+        if nf != g.terms:
+            check_degree(nf)
+            g = _normalize(ring, pk, nf, cof)
+        push_elem(g)
 
     processed = 0
 
@@ -502,8 +502,6 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             raise BudgetExceededError(f"pair count exceeds cap {max_pairs}")
         f, g = G[i], G[j]
         L = -L
-        if not is_zz and vals[i] == vals[j] == 0 and L == f.lm + g.lm:
-            continue  # product criterion: unit leads, coprime monomials
         df, dg = L - f.lm, L - g.lm
         if is_zz:
             l = f.lc * g.lc // math.gcd(f.lc, g.lc)

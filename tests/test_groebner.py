@@ -11,9 +11,9 @@ from bsdkit.groebner import (BudgetExceededError, GroebnerError, Ideal,
                              ideal_contained_in, ideal_membership,
                              ideal_quotient, ideal_sum, ideal_sum_product,
                              normal_form)
-from bsdkit.poly import (GREVLEX, MonomialOrder, Polynomial, exp_divides,
-                         exp_mul, parse_polynomial)
-from bsdkit.rings import ZZ, CoefficientRing
+from bsdkit.poly import (GREVLEX, MonomialOrder, Polynomial, exp_div,
+                         exp_divides, exp_mul, parse_polynomial)
+from bsdkit.rings import ZZ, CoefficientRing, xgcd
 
 from conftest import P, assert_is_quotient, const
 
@@ -598,6 +598,69 @@ def test_sum_from_index_matches_flat_sum():
             assert S._base is A
             flat = Ideal(list(A.generators) + list(B.generators))
             assert S.groebner_basis() == flat.groebner_basis(), name
+
+
+def pair_polynomials(f, g):
+    """The S-polynomial of f and g, and over ZZ their G-polynomial too,
+    built from the leading terms alone."""
+    ring = f.ring
+    (ef, cf), (eg, cg) = f.leading_term(), g.leading_term()
+    lcm = tuple(map(max, ef, eg))
+
+    def combine(a, b):
+        return (Polynomial.from_terms(ring, f.variables,
+                                      [(exp_div(lcm, ef), a)], f.order) * f
+                + Polynomial.from_terms(ring, g.variables,
+                                        [(exp_div(lcm, eg), b)], g.order) * g)
+
+    if ring.kind == "ZZ":
+        d, u, v = xgcd(cf, cg)
+        return [combine(cg // d, -(cf // d)), combine(u, v)]
+    (vf, uf), (vg, ug) = ring.unit_val(cf), ring.unit_val(cg)
+    top = max(vf, vg)
+    return [combine(ring.mul(ring.coerce(ring.p ** (top - vf)), ring.inv(uf)),
+                    ring.neg(ring.mul(ring.coerce(ring.p ** (top - vg)),
+                                      ring.inv(ug))))]
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_reduced_basis_is_strong(name):
+    # Buchberger's criterion checked on the output, trusting no pair that
+    # the completion pruned: every input, every S-polynomial of two basis
+    # elements, every G-polynomial over ZZ and every annihilator
+    # p^(e-v) * g over ZZ/p^e has normal form 0 against the reduced basis.
+    # The bases come from plain runs in both orders and from sums
+    # completed from an inter-reduced ideal's index.  The sums over ZZ run
+    # in grevlex only: one lex sum here swells its coefficients to
+    # millions of bits, where the flat run of the same generators takes
+    # milliseconds
+    import random
+    ring = ORACLE_RINGS[name]
+    rng = random.Random(53)
+    lex = MonomialOrder.lex()
+    cases = []
+    for n, polys in enumerate(random_ideals(ring, rng, 16, size=(3, 6))):
+        order = lex if n % 2 else GREVLEX
+        polys = [g.with_order(order) for g in polys]
+        cases.append((polys, Ideal(polys, order=order)))
+        k = rng.randint(1, len(polys) - 1)
+        if ring.kind == "ZZ" and order == lex:
+            continue
+        A = Ideal(polys[:k], order=order).interreduced()
+        S = ideal_sum(A, Ideal(polys[k:], order=order))
+        assert S._base is A
+        cases.append((polys, S))
+    for polys, I in cases:
+        gb = I.groebner_basis()
+        must_vanish = list(polys)
+        for f, g in itertools.combinations(gb, 2):
+            must_vanish.extend(pair_polynomials(f, g))
+        if ring.kind == "Zmod":
+            for g in gb:
+                v, _ = ring.unit_val(g.leading_coefficient())
+                must_vanish.append(g.scale(ring.p ** (ring.e - v)))
+        for h in must_vanish:
+            assert normal_form(h, I).is_zero(), (name, polys, h)
 
 
 @pytest.mark.parametrize("ring", KNOWN_RINGS,

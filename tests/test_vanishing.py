@@ -394,10 +394,11 @@ def test_criterion2_chain_sizes_to_step_18():
 
 def test_criterion2_chain_work_to_step_12(monkeypatch):
     # machine-independent counts of the chain's work: the inter-reduced
-    # generators, the product criterion on every pair of unit leads, the
+    # generators, the Gebauer-Moller criteria on every pair of a run
+    # (inputs against each other and against a base included), the
     # filter's stop at its first witness and the sum J_n + extra completed
     # from J_n's index keep the reductions (the filter's membership tests
-    # against I's index among them) at 3,357; each step's basis and each
+    # against I's index among them) at 1,709; each step's basis and each
     # filter test is one Buchberger run
     reductions = count_calls(monkeypatch, groebner, "_reduce")
     memberships = count_calls(monkeypatch, vanishing, "_reduce")
@@ -405,7 +406,7 @@ def test_criterion2_chain_work_to_step_12(monkeypatch):
     chain = _modified_chain(criterion2_locus())
     for _ in range(12):
         next(chain).groebner_basis()
-    assert len(reductions) + len(memberships) == 3357
+    assert len(reductions) + len(memberships) == 1709
     assert len(runs) == 104
 
 
