@@ -24,8 +24,7 @@ from .fieldtower import (FieldTower, FieldTowerError, extend_inert,
 from .groebner import GroebnerError, Ideal
 from .modelfile import (ModelMathError, SchemaError, component_locus,
                         load_matrix_file, load_model, parse_fibre,
-                        parse_patches, parse_prime_model,
-                        parse_period_matrix)
+                        parse_prime_model, parse_period_matrix)
 from .periods import (DEFAULT_TOL, PeriodError, RepeatedPrimeError,
                       period_pipeline)
 from .poly import MonomialOrder, ParseError, parse_polynomial
@@ -83,18 +82,15 @@ def cmd_vanishing_order(args) -> int:
         if value is not None and value < 1:
             raise CliSchemaError(f"{flag} must be at least 1, got {value}")
     doc = load_model(args.model)
-    patches = parse_patches(doc)
-    locus = component_locus(doc, args.component, patches)
-    blk = doc["special_fibre"]
-    comp = next(c for c in blk["components"] if c["id"] == args.component)
-    patch = patches[comp["patch"]]
+    locus = component_locus(doc, args.component)
     try:
-        f = parse_polynomial(args.function, ZZ, patch.variables)
+        f = parse_polynomial(args.function, ZZ, locus.I.variables)
     except ParseError as exc:
         raise CliSchemaError(f"cannot parse --function: {exc}")
     if args.truncate is not None:
-        res = vanishing_order_truncated(f, locus, r=args.truncate,
-                                        m=comp["multiplicity"],
+        m = next(c["multiplicity"] for c in doc["special_fibre"]["components"]
+                 if c["id"] == args.component)
+        res = vanishing_order_truncated(f, locus, r=args.truncate, m=m,
                                         mode=args.mode)
     else:
         res = vanishing_order(f, locus, mode=args.mode, budget=args.budget)
@@ -107,17 +103,10 @@ def cmd_period(args) -> int:
                              f"0 <= tol < 1, got {args.tol!r}")
     matrix_doc = load_matrix_file(args.matrix_file)
     matrix = parse_period_matrix(matrix_doc)
-    diffs = {}
-
-    def models():
-        # read by period_pipeline after it finds the lattice generator
-        for path in args.models:
-            model, diffs_p = parse_prime_model(load_model(path))
-            diffs.setdefault(model.p, diffs_p)
-            yield model
-
-    res = period_pipeline(matrix, models(), diffs,
-                          matrix_doc["real_components"], tol=args.tol)
+    # read by period_pipeline after it finds the lattice generator
+    models = (parse_prime_model(load_model(path)) for path in args.models)
+    res = period_pipeline(matrix, models, matrix_doc["real_components"],
+                          tol=args.tol)
     return _emit({
         "P_I": [{"rows": list(I), "value": repr(v)}
                 for I, v in res.covolumes],

@@ -21,6 +21,8 @@ from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
                      solve_integer_matrix)
 from .rings import factorize
 
+ORACLE_CAP = 10 ** 4     # largest group brute_force_component_group lists
+
 
 class FibreError(ValueError):
     pass
@@ -233,8 +235,7 @@ def _invariants_from_counts(order: int, kill_count) -> List[int]:
     return inv
 
 
-def brute_force_component_group(F: SpecialFibre, cap: int = 10 ** 4
-                                ) -> GroupTable:
+def brute_force_component_group(F: SpecialFibre) -> GroupTable:
     """Enumerates ker beta-bar modulo im alpha-bar by coset hashing."""
     diags, sigma = _structure(F)
     if diags:
@@ -248,8 +249,8 @@ def brute_force_component_group(F: SpecialFibre, cap: int = 10 ** 4
     H, _ = hermite_normal_form(C)     # r x n, first r columns triangular
     piv = [H[i][i] for i in range(r)]
     order = prod(piv)
-    if order > cap:
-        raise FibreError(f"group order {order} exceeds cap {cap}")
+    if order > ORACLE_CAP:
+        raise FibreError(f"group order {order} exceeds cap {ORACLE_CAP}")
 
     def reduce(x: Sequence[int]) -> Tuple[int, ...]:
         y = list(x)

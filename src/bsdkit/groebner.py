@@ -633,13 +633,13 @@ class Ideal:
                                        self._entries)
         return self._reducers
 
-    def interreduced(self, max_pairs=None, max_degree=None) -> "Ideal":
+    def interreduced(self) -> "Ideal":
         """The same ideal, but generated by its reduced strong basis.
 
         Useful before products/sums so generator counts stay bounded by
         the basis size instead of multiplying up.
         """
-        gb = self.groebner_basis(max_pairs, max_degree)
+        gb = self.groebner_basis()
         if not gb:
             return self
         K = Ideal(gb, order=self.order)
@@ -653,18 +653,16 @@ class Ideal:
         return f"Ideal({gens}{more})"
 
 
-def normal_form(f: Polynomial, I: Ideal, max_pairs=None,
-                max_degree=None) -> Polynomial:
+def normal_form(f: Polynomial, I: Ideal) -> Polynomial:
     if I.is_zero():
         return f
-    I.groebner_basis(max_pairs, max_degree)
     pk = I._packing()
     nf = _reduce(I.ring, pk.pack_dict(f.terms), I._index())
     return Polynomial(I.ring, I.variables, pk.unpack_dict(nf), I.order)
 
 
-def ideal_membership(f: Polynomial, I: Ideal, **kw) -> bool:
-    return normal_form(f, I, **kw).is_zero()
+def ideal_membership(f: Polynomial, I: Ideal) -> bool:
+    return normal_form(f, I).is_zero()
 
 
 def ideal_sum_product(A: Ideal, B: Ideal, C: Ideal) -> Ideal:
@@ -690,14 +688,13 @@ def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
     return S
 
 
-def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
-                   max_degree=None) -> Ideal:
+def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """(I : (f)): I's reduced basis and the f-cofactors of the syzygies
     that one run completing it with f meets (see ``_buchberger``), each
     once and only when it lies outside I (I is inside the quotient).
     Over ZZ/p^e these hold the annihilator p^(e-v) of f, v the p-valuation
     of its content, since p^(e-v) * f = 0 is a syzygy too."""
-    gens = I.groebner_basis(max_pairs, max_degree)
+    gens = I.groebner_basis()
     pk, index = I._packing(), I._index()
     seen = set()
 
@@ -709,14 +706,13 @@ def ideal_quotient(I: Ideal, f: Polynomial, max_pairs=None,
                 gens.append(Polynomial(I.ring, I.variables,
                                        pk.unpack_dict(cof), I.order))
 
-    _syzygy_cofactors(I, f, keep, max_pairs, max_degree)
+    _syzygy_cofactors(I, f, keep)
     if not gens:
         return Ideal.zero_ideal(I.ring, I.variables, I.order)
     return Ideal(gens, order=I.order)
 
 
-def _syzygy_cofactors(I: Ideal, f: Polynomial, sink, max_pairs=None,
-                      max_degree=None):
+def _syzygy_cofactors(I: Ideal, f: Polynomial, sink):
     """Call ``sink`` on the packed cofactor of each syzygy that one
     Buchberger run meets, completing I's reduced basis with f from I's
     index, in I's variables and order."""
@@ -724,10 +720,8 @@ def _syzygy_cofactors(I: Ideal, f: Polynomial, sink, max_pairs=None,
         raise GroebnerError("quotient by the zero polynomial")
     if f.ring != I.ring or f.variables != I.variables:
         raise GroebnerError("f and I disagree on ring/variables")
-    I.groebner_basis(max_pairs, max_degree)
-    _buchberger([f], I.ring, I.order, max_pairs, max_degree,
-                base=I._index(), sink=sink)
+    _buchberger([f], I.ring, I.order, base=I._index(), sink=sink)
 
 
-def ideal_contained_in(A: Ideal, B: Ideal, **kw) -> bool:
-    return all(ideal_membership(g, B, **kw) for g in A.generators)
+def ideal_contained_in(A: Ideal, B: Ideal) -> bool:
+    return all(ideal_membership(g, B) for g in A.generators)

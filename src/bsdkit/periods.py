@@ -304,36 +304,21 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
     for chart in charts:
         for pt in chart.sample_points:
             K = pt.field
-            dens = []
-            skip = False
-            for w in diffs:
-                # omega_j = (f_j/h_j) d; its reduction at P uses h_j(P)
-                h = (w.denominator * chart.generator_numerator
-                     ).change_ring(K)
-                hv = h.evaluate(pt.coords)
-                if K.is_zero(hv):
-                    skip = True
-                    break
-                dens.append(hv)
-            if skip:
+            # omega_j = (f_j/h_j) d; its reduction at P uses h_j(P)
+            hs = [(w.denominator * chart.generator_numerator
+                   ).change_ring(K).evaluate(pt.coords) for w in diffs]
+            if any(K.is_zero(h) for h in hs):
                 continue
             usable += 1
-            vals = []
-            for w, hv in zip(diffs, dens):
+            cols = []
+            for w, h in zip(diffs, hs):
                 f = (w.numerator * chart.generator_denominator
                      ).change_ring(K)
-                fv = f.evaluate(pt.coords)
-                vals.append(K.mul(fv, K.inv(hv)))
-            # expand each GF(p^k) value into k rows of GF(p) coordinates
-            k = K.k or 1
-            for t in range(k):
-                row = []
-                for v in vals:
-                    if K.kind == "GFext":
-                        row.append(v[t] if t < len(v) else 0)
-                    else:
-                        row.append(v if t == 0 else 0)
-                rows.append(row)
+                v = K.mul(f.evaluate(pt.coords), K.inv(h))
+                # v as its k coordinates over GF(p), one row per coordinate
+                v = tuple(v) if K.kind == "GFext" else (v,)
+                cols.append(v + (0,) * (K.k - len(v)))
+            rows.extend(map(list, zip(*cols)))
     if usable == 0:
         raise PeriodError("all sample points are killed by denominators; "
                           "fall back to the full per-component check")
@@ -361,33 +346,30 @@ class AdjustResult:
 
 def _combination(diffs: Sequence[DifferentialRep],
                  coeffs: Sequence[int]) -> DifferentialRep:
-    """Sum c_j * omega_j over a common denominator, exactly over ZZ."""
+    """Sum c_j * omega_j over the product of the denominators, exactly
+    over ZZ: omega_j's cofactor is the product of the other ones."""
     base = diffs[0]
-    den = base.denominator
-    for w in diffs[1:]:
-        den = den * w.denominator
+    dens = [w.denominator for w in diffs]
     num = Polynomial.zero(base.numerator.ring, base.numerator.variables,
                           base.numerator.order)
-    for c, w in zip(coeffs, diffs):
-        if c == 0:
-            continue
-        cof = exact_divide(den, w.denominator)
-        if cof is None:
-            raise PeriodError("denominator division failed (internal)")
-        num = num + (w.numerator * cof).scale(c)
-    return DifferentialRep(base.patch_id, num, den, base.base)
+    for j, (c, w) in enumerate(zip(coeffs, diffs)):
+        if c:
+            num = num + math.prod((d for i, d in enumerate(dens) if i != j),
+                                  start=w.numerator.scale(c))
+    return DifferentialRep(base.patch_id, num,
+                           math.prod(dens[1:], start=dens[0]), base.base)
 
 
 def neron_basis_adjust(model: PrimeModel,
-                       diffs: Sequence[DifferentialRep],
-                       cap: Optional[int] = None) -> AdjustResult:
+                       diffs: Sequence[DifferentialRep]) -> AdjustResult:
     """Pole-clearing / vanishing-division loops; W_p = p^(a-b).
 
-    Step 5: while some omega_j has a pole on some component, replace it by
-    p*omega_j.  Step 6: while a nonzero combination Sum c_j omega_j
-    vanishes on the whole fibre (order >= component multiplicity
-    everywhere, i.e. divisible by p), replace the smallest-index
-    omega_j with c_j != 0 by (1/p) Sum c_j omega_j.
+    Step 5: while omega_j has a pole on some component, replace it by
+    p*omega_j; every omega_j is cleared once at the start, and after that
+    only the one step 6 replaced.  Step 6: while a nonzero combination
+    Sum c_j omega_j vanishes on the whole fibre (order >= component
+    multiplicity everywhere, i.e. divisible by p), replace the
+    smallest-index omega_j with c_j != 0 by (1/p) Sum c_j omega_j.
     """
     p = model.p
     g = model.genus
@@ -395,75 +377,63 @@ def neron_basis_adjust(model: PrimeModel,
         raise PeriodError(f"expected {g} differentials, got {len(diffs)}")
     work = list(diffs)
     max_mult = max((c.get_multiplicity() for c in model.charts), default=1)
-    if cap is None:
-        cap = max(4 * g * max_mult, 8)
+    cap = max(4 * g * max_mult, 8)
     a = b = 0
 
-    def orders(w: DifferentialRep) -> List[int]:
-        return [differential_order_on_component(w, c) for c in model.charts]
-
-    while True:
-        changed = False
-        # step 5: clear poles
+    def clear_poles(j: int):
+        # step 5 for omega_j; it runs after each step that raises a or b,
+        # so it checks the cap on a + b first
+        nonlocal a
         while True:
-            pole = False
-            for j in range(g):
-                if any(o < 0 for o in orders(work[j])):
-                    work[j] = work[j].scaled_by_p(p)
-                    a += 1
-                    pole = True
-                    changed = True
-                    if a + b > cap:
-                        raise PeriodError(
-                            "adjustment loop exceeded its termination cap")
-            if not pole:
-                break
+            if a + b > cap:
+                raise PeriodError(
+                    "adjustment loop exceeded its termination cap")
+            # a list, not a generator: every component's order is asked,
+            # so one that raises always does
+            if not any([differential_order_on_component(work[j], c) < 0
+                        for c in model.charts]):
+                return
+            work[j] = work[j].scaled_by_p(p)
+            a += 1
+
+    for j in range(g):
+        clear_poles(j)
+    while True:
         # step 6: divide out a vanishing combination
         try:
             basis = vanishing_subspace(model.charts, work)
         except PeriodError:
             basis = [[int(i == j) for j in range(g)] for i in range(g)]
-        found = None
         for c in _nonzero_span(basis, p, g):
             comb = _combination(work, c)
             if comb.numerator.is_zero():
                 continue
             try:
-                ok = all(
-                    differential_order_on_component(comb, chart)
-                    >= chart.get_multiplicity()
-                    for chart in model.charts)
+                if all(differential_order_on_component(comb, chart)
+                       >= chart.get_multiplicity()
+                       for chart in model.charts):
+                    break
             except PeriodError:
                 continue
-            if ok:
-                found = c
-                break
-        if found is not None:
-            j = next(i for i in range(g) if found[i])
-            work[j] = _combination(work, found).divided_by_p(p)
-            b += 1
-            changed = True
-            if a + b > cap:
-                raise PeriodError(
-                    "adjustment loop exceeded its termination cap")
-        if not changed:
-            break
-    return AdjustResult(work, a, b, Fraction(p) ** (a - b))
+        else:
+            return AdjustResult(work, a, b, Fraction(p) ** (a - b))
+        j = next(i for i in range(g) if c[i])
+        work[j] = comb.divided_by_p(p)
+        b += 1
+        clear_poles(j)
 
 
 def _nonzero_span(basis: List[List[int]], p: int, g: int) -> List[List[int]]:
-    """All nonzero vectors in the span of the basis over GF(p)."""
+    """All nonzero vectors in the span of the basis over GF(p), each once:
+    the basis is independent."""
     out = []
-    seen = set()
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         v = [0] * g
         for c, vec in zip(coeffs, basis):
             if c:
                 v = [(x + c * y) % p for x, y in zip(v, vec)]
-        t = tuple(v)
-        if any(t) and t not in seen:
-            seen.add(t)
-            out.append(list(t))
+        if any(v):
+            out.append(v)
     return out
 
 
@@ -489,23 +459,23 @@ def real_period(P: float, W: Fraction, m_real: int) -> float:
 
 
 def period_pipeline(matrix: BigPeriodMatrix,
-                    models: Iterable[PrimeModel],
-                    diffs_per_prime: Dict[int, Sequence[DifferentialRep]],
+                    models: Iterable[Tuple[PrimeModel,
+                                           Sequence[DifferentialRep]]],
                     m_real: int,
                     tol: float = DEFAULT_TOL) -> PeriodResult:
     """Covolumes, lattice generator P, W = prod W_p and Omega.
 
-    models is read once, after P is found, and diffs_per_prime[model.p] is
-    looked up as each model arrives, so a caller may load both lazily.
+    models yields (model, differentials) pairs, one per prime.  It is read
+    once, after P is found, so a caller may load the models lazily.
     """
     covs = covolumes(matrix)
     gen = lattice_generator([v for _, v in covs], tol=tol)
     per_prime: Dict[int, AdjustResult] = {}
     W = Fraction(1)
-    for model in models:
+    for model, diffs in models:
         if model.p in per_prime:
             raise RepeatedPrimeError(f"two models for p = {model.p}")
-        res = neron_basis_adjust(model, diffs_per_prime[model.p])
+        res = neron_basis_adjust(model, diffs)
         per_prime[model.p] = res
         W *= res.W_p
     omega = real_period(gen.value, W, m_real)

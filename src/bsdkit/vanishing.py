@@ -197,9 +197,7 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
     return VanishingOrder(r, exact=False)
 
 
-def multiplicity_of_component(locus: ComponentLocus,
-                              mode: str = "modified",
-                              budget: int = DEFAULT_ORDER_BUDGET) -> int:
+def multiplicity_of_component(locus: ComponentLocus) -> int:
     """Order of vanishing of the constant p: the fibre multiplicity.
 
     One order query on the locus itself, so over ZZ its chain serves the
@@ -208,19 +206,17 @@ def multiplicity_of_component(locus: ComponentLocus,
     """
     p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
                                   locus.I.order)
-    res = vanishing_order(p_const, locus, mode=mode, budget=budget)
+    res = vanishing_order(p_const, locus)
     if not res.exact:
         raise VanishingError("budget hit while computing multiplicity")
     return res.order
 
 
-def rational_function_order(f, g, locus: ComponentLocus,
-                            mode: str = "modified",
-                            budget: int = DEFAULT_ORDER_BUDGET) -> int:
+def rational_function_order(f, g, locus: ComponentLocus) -> int:
     """ord(f) - ord(g)."""
 
     def order(poly):
-        res = vanishing_order(poly, locus, mode=mode, budget=budget)
+        res = vanishing_order(poly, locus)
         if not res.exact:
             raise VanishingError("budget hit")
         return res.order

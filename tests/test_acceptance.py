@@ -199,23 +199,23 @@ def test_criterion_6_round_trip():
     p = model.p
     rows = [[1.0 + 0j, 0j], [0j, 1.0 + 0j],
             [0.5 + 1j, 0.25 + 2j], [0.125 + 3j, 0.75 + 4j]]
-    base = period_pipeline(BigPeriodMatrix(g, rows), [model], {p: diffs},
+    base = period_pipeline(BigPeriodMatrix(g, rows), [(model, diffs)],
                            m_real=2)
     assert base.per_prime[p].W_p == 1
 
     # scale the basis by p: periods scale by p, W_p drops by p^-g
     up = [w.scaled_by_p(p) for w in diffs]
     up_rows = [[p * z for z in r] for r in rows]
-    scaled = period_pipeline(BigPeriodMatrix(g, up_rows), [model],
-                             {p: up}, m_real=2)
+    scaled = period_pipeline(BigPeriodMatrix(g, up_rows), [(model, up)],
+                             m_real=2)
     assert scaled.per_prime[p].W_p == Fraction(1, p ** g)
     assert scaled.omega == pytest.approx(base.omega, rel=1e-9)
 
     # divide the basis by p: W_p grows by p^g
     down = [w.divided_by_p(p) for w in diffs]
     down_rows = [[z / p for z in r] for r in rows]
-    divided = period_pipeline(BigPeriodMatrix(g, down_rows), [model],
-                              {p: down}, m_real=2)
+    divided = period_pipeline(BigPeriodMatrix(g, down_rows),
+                              [(model, down)], m_real=2)
     assert divided.per_prime[p].W_p == Fraction(p ** g)
     assert divided.omega == pytest.approx(base.omega, rel=1e-9)
 

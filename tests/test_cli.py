@@ -109,10 +109,10 @@ class TestVanishingOrder:
         assert doc["order"] == 2
 
     def test_parses_patches_once(self, capsys, monkeypatch):
-        import bsdkit.cli as cli
+        import bsdkit.modelfile as modelfile
         calls = []
-        parse = cli.parse_patches
-        monkeypatch.setattr(cli, "parse_patches",
+        parse = modelfile.parse_patches
+        monkeypatch.setattr(modelfile, "parse_patches",
                             lambda doc: calls.append(1) or parse(doc))
         doc = run_json(capsys, "vanishing-order",
                        fixture_path("sect31.json"),

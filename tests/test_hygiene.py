@@ -199,3 +199,73 @@ def test_detects_unresolved_target():
     assert unresolved_targets(targets) == [
         ("bsdkit.intmat", "gone"), ("bsdkit.groebner", "Ideal.gone"),
         ("bsdkit.groebner", "Gone.method")]
+
+
+def unset_defaults(defining, calling):
+    """(module, line, "function.parameter") for each parameter with a
+    default, of a function or method other than ``__init__`` in the
+    {module: source} map ``defining``, that no call in ``calling`` sets:
+    by keyword, or by position, to a callee of that name.  A call that
+    passes *args or **kwargs sets every parameter."""
+    calls = {}     # callee name -> [(positional count, keywords)]
+    for source in calling.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                setting = (float("inf"), None)
+            else:
+                setting = (len(node.args), {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append(setting)
+
+    def is_set(name, param, index):
+        return any(keywords is None or param in keywords or
+                   (index is not None and index < count)
+                   for count, keywords in calls.get(name, ()))
+
+    out = []
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        methods = {id(stmt) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for stmt in cls.body
+                   if isinstance(stmt, ast.FunctionDef) and not any(
+                       getattr(d, "id", None) == "staticmethod"
+                       for d in stmt.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            skip = id(fn) in methods          # self or cls: not passed
+            params = [(a.arg, i - skip) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults) if d]
+            out += [(module, fn.lineno, f"{fn.name}.{param}")
+                    for param, index in params
+                    if not is_set(fn.name, param, index)]
+    return sorted(out)
+
+
+def test_every_default_is_set_by_a_call():
+    # a parameter no call sets is dead configuration: a constant reads
+    # plainer, and a caller that needs it can add it back
+    sources = {path.name: path.read_text() for path in MODULES + TESTS}
+    defining = {path.name: sources[path.name] for path in MODULES}
+    assert unset_defaults(defining, sources) == []
+
+
+def test_detects_unset_default():
+    defining = {"a.py": (
+        "def f(x, n=1, *, m=2):\n    pass\n\n\n"
+        "def h(a, b=0, c=0):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, z=0):\n        pass\n\n"
+        "    def g(self, k=0):\n        pass\n\n"
+        "    @staticmethod\n    def s(a, k=0):\n        pass\n")}
+    calling = {"b.py": "f(1, 2)\nh(a, c=1)\nC().g(1)\nC.s(1)\n",
+               "c.py": "f(*xs)\n"}
+    assert unset_defaults(defining, calling) == [
+        ("a.py", 5, "h.b"), ("a.py", 17, "s.k")]

@@ -320,6 +320,34 @@ class TestAdjust:
                  if any(v)]
         assert spans and all(s == every for s in spans)
 
+    @pytest.mark.parametrize("change", ["scaled_by_p", "divided_by_p"])
+    def test_step_5_asks_each_order_once(self, monkeypatch, change):
+        # step 5 asks for the orders of a differential on each component
+        # once: only the differential step 6 replaced is asked again
+        model, diffs = genus2_model()
+        combinations, asked = [], []
+        combination = periods._combination
+        order = periods.differential_order_on_component
+
+        def record_combination(*args):
+            combinations.append(combination(*args))
+            return combinations[-1]
+
+        def record_order(w, chart):
+            # a step-6 candidate is a combination; step 5 asks the others
+            if not any(w is c for c in combinations):
+                asked.append((str(w.numerator), str(w.denominator),
+                              chart.component_id))
+            return order(w, chart)
+
+        monkeypatch.setattr(periods, "_combination", record_combination)
+        monkeypatch.setattr(periods, "differential_order_on_component",
+                            record_order)
+        res = neron_basis_adjust(model, [getattr(w, change)(2)
+                                         for w in diffs])
+        assert res.a + res.b == 2
+        assert asked and len(asked) == len(set(asked))
+
 
 # ---------------------------------------------------------------------------
 # final assembly
@@ -340,11 +368,11 @@ class TestRealPeriod:
         rows = [[1.0 + 0j, 0j], [0j, 1.0 + 0j],
                 [0.5 + 1j, 0.25 + 2j], [0.125 + 3j, 0.75 + 4j]]
         M = BigPeriodMatrix(2, rows)
-        base = period_pipeline(M, [model], {2: diffs}, m_real=2)
+        base = period_pipeline(M, [(model, diffs)], m_real=2)
         # scale differentials by p and the matrix columns by p: same omega
         scaled_diffs = [w.scaled_by_p(2) for w in diffs]
         M2 = BigPeriodMatrix(2, [[2 * z for z in r] for r in rows])
-        scaled = period_pipeline(M2, [model], {2: scaled_diffs}, m_real=2)
+        scaled = period_pipeline(M2, [(model, scaled_diffs)], m_real=2)
         assert scaled.omega == pytest.approx(base.omega, rel=1e-9)
         assert scaled.W == base.W / 4
         assert scaled.P == pytest.approx(base.P * 4)
@@ -354,4 +382,4 @@ class TestRealPeriod:
         M = BigPeriodMatrix(2, [[1.0 + 0j, 0j], [0j, 1.0 + 0j],
                                 [0.5 + 1j, 0.25 + 2j], [0.125 + 3j, 0.75 + 4j]])
         with pytest.raises(RepeatedPrimeError, match="p = 2"):
-            period_pipeline(M, [model, model], {2: diffs}, m_real=2)
+            period_pipeline(M, [(model, diffs)] * 2, m_real=2)

@@ -340,7 +340,7 @@ def test_period_run_builds_each_step_once(monkeypatch):
     model, diffs = parse_prime_model(c2_z_model(2))
     rows = [[2.0 + 0j, 0j], [0j, 2.0 + 0j],
             [1.0 + 2j, 0.5 + 4j], [0.25 + 6j, 1.5 + 8j]]
-    res = period_pipeline(BigPeriodMatrix(2, rows), [model], {2: diffs},
+    res = period_pipeline(BigPeriodMatrix(2, rows), [(model, diffs)],
                           m_real=2)
     assert res.W == Fraction(1, 4)
     chain = model.charts[0].locus._chains["modified"]
