@@ -10,6 +10,12 @@ already vanish to higher order, which keeps the bases much smaller.
 A chain depends only on the component, not on f, so each locus keeps its
 chains and builds each step once: every later order query on the same
 locus walks the steps already built and extends the chain only past them.
+
+Exact orders on a locus over ZZ (``rational_function_order``) come from
+one kept truncation of it to ZZ/p^e, where the Groebner work stays small;
+by the truncation proposition an order n computed there is exact when
+n <= e*m - 2, m the multiplicity, and e doubles until it is.  Each exact
+order is kept on the locus, so a repeated query runs no quotient test.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .poly import Polynomial
 from .rings import CoefficientRing
 
 DEFAULT_ORDER_BUDGET = 64
+# e of the first truncation ZZ/p^e of a ZZ locus: its exact range e*m - 2
+# covers order 2m, so 2*z at m = 4 (order 8) needs no second ring
+TRUNCATION_START = 3
 
 
 class VanishingError(ValueError):
@@ -43,6 +52,13 @@ class ComponentLocus:
     # mode -> [I_1, I_2, ...]: the chain steps built so far, extended on
     # demand by _chain_step; ignored by equality and hashing
     _chains: Dict[str, List[Ideal]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # f -> its exact order: each f asked through _exact_order, and p once
+    # a truncation has computed the multiplicity
+    _orders: Dict[Polynomial, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # e -> this locus over ZZ/p^e with its chains; one e at a time
+    _truncated: Dict[int, "ComponentLocus"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,6 +85,16 @@ class ComponentLocus:
         I = Ideal([g.change_ring(target) for g in self.I.generators],
                   order=self.I.order)
         return ComponentLocus(J, I, self.p)
+
+    def truncated(self, e: int) -> "ComponentLocus":
+        """This locus over ZZ/p^e, kept with its chains until another e is
+        asked for."""
+        kept = self._truncated.get(e)
+        if kept is None:
+            self._truncated.clear()
+            kept = self._truncated[e] = self.change_ring(
+                CoefficientRing.Zmod(self.p, e))
+        return kept
 
 
 @dataclass
@@ -170,7 +196,8 @@ def vanishing_order(f: Polynomial, locus: ComponentLocus,
 def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
                               r: int, m: int,
                               mode: str = "modified") -> VanishingOrder:
-    """Run the chain over ZZ/p^(floor(r/m)+1)ZZ.
+    """Run the chain over ZZ/p^(floor(r/m)+1)ZZ, on the locus's kept
+    truncation (``ComponentLocus.truncated``).
 
     A result < r is exact; otherwise only "order >= r" is known.  That
     includes a nonzero f that is 0 or lies in J over ZZ/p^e: then
@@ -185,11 +212,9 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
     if f.is_zero():
         raise FunctionVanishesOnCurve(
             "f vanishes identically on the curve V(J)")
-    e = r // m + 1
-    target = CoefficientRing.Zmod(locus.p, e)
+    T = locus.truncated(r // m + 1)
     try:
-        res = vanishing_order(f.change_ring(target),
-                              locus.change_ring(target), mode=mode, budget=r)
+        res = vanishing_order(f.change_ring(T.ring), T, mode=mode, budget=r)
     except FunctionVanishesOnCurve:
         return VanishingOrder(r, exact=False)
     if res.exact and res.order < r:
@@ -200,8 +225,8 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
 def multiplicity_of_component(locus: ComponentLocus) -> int:
     """Order of vanishing of the constant p: the fibre multiplicity.
 
-    One order query on the locus itself, so over ZZ its chain serves the
-    later queries too.  Over ZZ/p^e with e >= 2 the answer m is exact by
+    One order query on the locus itself, so its chain serves the later
+    ``vanishing_order`` queries too.  Over ZZ/p^e with e >= 2 the answer m is exact by
     the truncation proposition, since m < e*m.
     """
     p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
@@ -212,13 +237,56 @@ def multiplicity_of_component(locus: ComponentLocus) -> int:
     return res.order
 
 
-def rational_function_order(f, g, locus: ComponentLocus) -> int:
-    """ord(f) - ord(g)."""
+def _truncated_order(f: Polynomial, locus: ComponentLocus) -> int:
+    """ord_D(f) on a ZZ locus, from chains over ZZ/p^e (``truncated``).
 
-    def order(poly):
-        res = vanishing_order(poly, locus)
-        if not res.exact:
+    An answer n over ZZ/p^e is exact when n <= e*m - 2.  A first ask with
+    budget e - 1 needs no m (m >= 1); otherwise m is computed on the same
+    ring as the order of p, exact for e >= 2 and never the declared value,
+    and the ask is repeated with budget min(e*m - 1, DEFAULT_ORDER_BUDGET).
+    An f that is 0 or in J over ZZ/p^e has order >= e*m unless it lies in
+    J over ZZ.  e doubles until the budget is DEFAULT_ORDER_BUDGET.
+    """
+    p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
+                                  locus.I.order)
+    e = max([TRUNCATION_START, *locus._truncated])
+    while True:
+        T = locus.truncated(e)
+        m = locus._orders.get(p_const)
+        budget = e - 1 if m is None else min(e * m - 1, DEFAULT_ORDER_BUDGET)
+        try:
+            res = vanishing_order(f.change_ring(T.ring), T, budget=budget)
+        except FunctionVanishesOnCurve:
+            if ideal_membership(f, locus.J):
+                raise
+            res = None
+        if res is not None and res.exact:
+            return res.order
+        if m is None:
+            m = locus._orders[p_const] = multiplicity_of_component(T)
+            if res is not None and m > 1:
+                continue
+        if e * m - 1 >= DEFAULT_ORDER_BUDGET:
             raise VanishingError("budget hit")
-        return res.order
+        e *= 2
 
-    return order(f) - order(g)
+
+def _exact_order(f: Polynomial, locus: ComponentLocus) -> int:
+    """ord_D(f), kept on the locus; over ZZ from ``_truncated_order``."""
+    order = locus._orders.get(f)
+    if order is None:
+        if locus.ring.kind == "ZZ":
+            order = _truncated_order(f, locus)
+        else:
+            res = vanishing_order(f, locus)
+            if not res.exact:
+                raise VanishingError("budget hit")
+            order = res.order
+        locus._orders[f] = order
+    return order
+
+
+def rational_function_order(f, g, locus: ComponentLocus) -> int:
+    """ord(f) - ord(g), each an ``_exact_order``: over ZZ no chain runs on
+    the locus itself, only on its truncation to ZZ/p^e."""
+    return _exact_order(f, locus) - _exact_order(g, locus)

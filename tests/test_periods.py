@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bsdkit import periods
+from bsdkit import periods, vanishing
 from bsdkit.modelfile import load_model, parse_prime_model
 from bsdkit.periods import (BigPeriodMatrix, DifferentialRep, PeriodError,
                             RepeatedPrimeError, convert_differential, covolumes,
@@ -231,6 +231,26 @@ class TestDifferentialOrder:
                             chart.generator_denominator.scale(2))
         assert differential_order_on_component(d, chart) == \
             -chart.get_multiplicity()
+
+    def test_repeated_query_runs_no_quotient_test(self, monkeypatch):
+        model, diffs = genus2_model()
+        chart = model.charts[0]
+        tests = []
+        cofactors = vanishing._syzygy_cofactors
+
+        def counted(*args):
+            tests.append(args)
+            return cofactors(*args)
+
+        monkeypatch.setattr(vanishing, "_syzygy_cofactors", counted)
+        w = diffs[1].scaled_by_p(2)
+        first = differential_order_on_component(w, chart)
+        asked = len(tests)
+        assert first == 1 and asked > 0
+        again = w.scaled_by_p(2).divided_by_p(2)     # equal, not the same
+        assert again is not w
+        assert differential_order_on_component(again, chart) == first
+        assert len(tests) == asked
 
 
 # ---------------------------------------------------------------------------

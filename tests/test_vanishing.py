@@ -334,18 +334,45 @@ def c2_z_model(k):
     }
 
 
+C2_Z_MATRIX = BigPeriodMatrix(2, [[2.0 + 0j, 0j], [0j, 2.0 + 0j],
+                                  [1.0 + 2j, 0.5 + 4j],
+                                  [0.25 + 6j, 1.5 + 8j]])
+
+
 def test_period_run_builds_each_step_once(monkeypatch):
     steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
     queries = count_calls(monkeypatch, vanishing, "vanishing_order")
     model, diffs = parse_prime_model(c2_z_model(2))
-    rows = [[2.0 + 0j, 0j], [0j, 2.0 + 0j],
-            [1.0 + 2j, 0.5 + 4j], [0.25 + 6j, 1.5 + 8j]]
-    res = period_pipeline(BigPeriodMatrix(2, rows), [(model, diffs)],
-                          m_real=2)
+    res = period_pipeline(C2_Z_MATRIX, [(model, diffs)], m_real=2)
     assert res.W == Fraction(1, 4)
-    chain = model.charts[0].locus._chains["modified"]
+    # the orders come from the one truncation of the ZZ locus
+    locus = model.charts[0].locus
+    (truncated,) = locus._truncated.values()
+    chain = truncated._chains["modified"]
+    assert not locus._chains
     assert len(steps) == len(chain) - 1 > 0
     assert len(queries) > len(chain)
+
+
+def test_period_run_builds_no_chain_over_zz(monkeypatch):
+    # over ZZ only the locus's own ideals get a basis: its checks, and the
+    # membership test of an f that vanishes on the truncated curve; every
+    # chain step and filter run is over ZZ/p^e
+    model, diffs = parse_prime_model(c2_z_model(2))
+    locus = model.charts[0].locus
+    runs = []
+    buchberger = groebner._buchberger
+
+    def recorded(gens, ring, *args, sink=None, **kwargs):
+        runs.append((ring.kind, tuple(gens), sink is not None))
+        return buchberger(gens, ring, *args, sink=sink, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    period_pipeline(C2_Z_MATRIX, [(model, diffs)], m_real=2)
+    own = (locus.J.generators, locus.I.generators)
+    assert all(gens in own and not filtered
+               for kind, gens, filtered in runs if kind == "ZZ")
+    assert any(kind == "Zmod" and filtered for kind, _, filtered in runs)
 
 
 @pytest.mark.parametrize("mode, cap, value",
@@ -379,6 +406,68 @@ def test_chain_cache_ignored_by_equality():
     assert warm == cold and hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert not warm.change_ring(CoefficientRing.Zmod(2, 3))._chains
+
+
+# ---------------------------------------------------------------------------
+# exact orders over ZZ from the truncation, against the chain over ZZ
+
+ORACLE_LOCI = {"sect31": sect31_locus, **{
+    f"c2_k{k}": functools.partial(c2_locus, k) for k in (6, 10, 12, 14, 28)}}
+
+
+def zz_poly(text, locus):
+    return parse_polynomial(text, ZZ, locus.I.variables, GREVLEX)
+
+
+@pytest.mark.parametrize("name", ORACLE_LOCI)
+def test_truncated_orders_match_zz_chain(name):
+    make = ORACLE_LOCI[name]
+    loc, oracle = make(), make()
+    one = zz_poly("1", loc)
+    z = "z" in loc.I.variables
+    rng = random.Random(41)
+    for _ in range(4):
+        a = rng.randint(0, 2)
+        b = rng.randint(0, 2 - a) if z else 0
+        c = rng.randint(0, 3)
+        f = zz_poly(f"2^{a} * {'z' if z else '1'}^{b} * (x + y)^{c}", loc)
+        want = vanishing_order(f, oracle)
+        assert want.exact
+        assert rational_function_order(f, one, loc) == want.order
+    # 8 is 0 over ZZ/2^3, the first ring, and has order 3m > 3m - 2: e
+    # doubles; g + 8 for g in J lies in J over ZZ/2^3 but not over ZZ
+    g = loc.J.generators[-1]
+    for f in (zz_poly("8", loc), g + zz_poly("8", loc)):
+        assert rational_function_order(f, one, loc) == \
+            vanishing_order(f, oracle).order
+    assert list(loc._truncated) == [6]
+    with pytest.raises(FunctionVanishesOnCurve):
+        rational_function_order(g, one, loc)
+    assert not loc._chains
+
+
+def test_truncated_order_budget_matches_zz_chain():
+    # orders from 64 on hit the budget, as the chain over ZZ does
+    loc, oracle = sect31_locus(), sect31_locus()
+    below, at = P("x + y").scale(2 ** 31), const(2 ** 32)
+    assert vanishing_order(below, oracle) == vanishing.VanishingOrder(63, True)
+    assert not vanishing_order(at, oracle).exact
+    assert rational_function_order(below, const(1), loc) == 63
+    with pytest.raises(VanishingError, match="^budget hit$"):
+        rational_function_order(at, const(1), loc)
+
+
+def test_truncation_keeps_one_ring(monkeypatch):
+    steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
+    loc = sect31_locus()
+    f = P("x + y") ** 3
+    want = vanishing_order_truncated(f, loc, r=5, m=2)     # over ZZ/2^3
+    assert want == vanishing.VanishingOrder(3, True)
+    built = len(steps)
+    assert vanishing_order_truncated(f, loc, r=4, m=2) == want
+    assert len(steps) == built and list(loc._truncated) == [3]
+    assert vanishing_order_truncated(f, loc, r=7, m=2) == want
+    assert list(loc._truncated) == [4]
 
 
 # ---------------------------------------------------------------------------
