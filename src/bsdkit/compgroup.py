@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter, mul
 from typing import Dict, List, Sequence, Tuple
 
-from .intmat import (hermite_normal_form, invariant_factors, kernel_basis,
-                     mat_vec, rank_det, smith_normal_form,
-                     solve_integer_matrix)
+from .intmat import (hermite_normal_form, invariant_factors,
+                     inverse_columns, kernel_basis, mat_vec, rank_det,
+                     smith_normal_form, solve_integer_matrix, transform_rows)
 from .rings import factorize
 
 ORACLE_CAP = 10 ** 4     # largest group brute_force_component_group lists
@@ -87,17 +88,20 @@ def _structure(F: SpecialFibre) -> Tuple[List[str], List[int]]:
     if len(M) != n or any(len(row) != n for row in M):
         out.append(f"intersection matrix is not {n}x{n}")
         return out, []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if M[i][j] != M[j][i]:
-                out.append(f"intersection matrix asymmetric at pair "
-                           f"({ids[i]}, {ids[j]}): "
-                           f"{M[i][j]} != {M[j][i]}")
+    # each check is one pass per row; the pairs are looked at only to
+    # word the messages of a failed check
+    if [list(col) for col in zip(*M)] != M:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if M[i][j] != M[j][i]:
+                    out.append(f"intersection matrix asymmetric at pair "
+                               f"({ids[i]}, {ids[j]}): "
+                               f"{M[i][j]} != {M[j][i]}")
     m = F.multiplicities
-    for i in range(n):
-        s = sum(m[j] * M[i][j] for j in range(n))
+    for cid, row in zip(ids, M):
+        s = sum(map(mul, m, row))
         if s != 0:
-            out.append(f"weighted row sum for component {ids[i]} "
+            out.append(f"weighted row sum for component {cid} "
                        f"is {s}, not 0")
     if set(F.frobenius.keys()) != pos.keys() or \
             set(F.frobenius.values()) != pos.keys():
@@ -108,11 +112,16 @@ def _structure(F: SpecialFibre) -> Tuple[List[str], List[int]]:
         if m[sigma[i]] != m[i]:
             out.append(f"frobenius does not preserve the multiplicity "
                        f"of {ids[i]}")
-    for i in range(n):
-        for j in range(n):
-            if M[sigma[i]][sigma[j]] != M[i][j]:
-                out.append(f"frobenius does not preserve the intersection "
-                           f"number of ({ids[i]}, {ids[j]})")
+    # M[sigma(i)][sigma(j)] = M[i][j]; for n <= 1, where itemgetter
+    # gives no tuple, it holds anyway
+    permute = itemgetter(*sigma) if n > 1 else list
+    if any(list(permute(M[k])) != row for k, row in zip(sigma, M)):
+        for i in range(n):
+            for j in range(n):
+                if M[sigma[i]][sigma[j]] != M[i][j]:
+                    out.append(f"frobenius does not preserve the "
+                               f"intersection number of "
+                               f"({ids[i]}, {ids[j]})")
     return out, sigma
 
 
@@ -126,19 +135,22 @@ def component_group(F: SpecialFibre) -> FinAbGroupWithAction:
     """The torsion of coker M from one Smith form U·M·V = D: coordinate t
     of U·x is cyclic of order d_t, so the generators are the columns of
     U^-1 with d_t > 1 (t < n - 1; d_{n-1} = 0 is the free part) and the
-    Frobenius P·e_i = e_sigma(i) acts on them as U·P·U^-1.  The same D
-    gives rank M, checked here to be n - 1 (a connected fibre)."""
+    Frobenius P·e_i = e_sigma(i) acts on them as U·P·U^-1.  Only those
+    rows of U and columns of U^-1 are replayed from the elimination's
+    log.  The same D gives rank M, checked here to be n - 1 (a connected
+    fibre)."""
     diags, sigma = _structure(F)
     if diags:
         raise FibreError("; ".join(diags))
     n = len(F.components)
-    D, U, _, Uinv = smith_normal_form(F.intersections)
+    D, log = smith_normal_form(F.intersections)
     _require_connected(sum(1 for t in range(n) if D[t][t]), n)
     torsion = [t for t in range(n - 1) if D[t][t] > 1]
-    generators = [[Uinv[i][t] for i in range(n)] for t in torsion]
+    generators = inverse_columns(log, torsion, n)
     # (U·P·U^-1)[s][t] = sum_i U[s][sigma(i)]·U^-1[i][t]
-    action = [[sum(U[s][sigma[i]] * Uinv[i][t] for i in range(n)) % D[s][s]
-               for t in torsion] for s in torsion]
+    action = [[sum(map(mul, [u[k] for k in sigma], g)) % D[s][s]
+               for g in generators]
+              for s, u in zip(torsion, transform_rows(log, torsion, n))]
     return FinAbGroupWithAction([D[t][t] for t in torsion], generators,
                                 action)
 

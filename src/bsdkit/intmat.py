@@ -4,7 +4,9 @@ rational solutions.
 
 Matrices are lists of rows of Python ints.  All transforms returned are
 unimodular, so every identity below holds exactly over ZZ.  The Smith
-form pivots on the smallest entry, which keeps its transforms small.
+form pivots on the smallest entry, which keeps its transforms small.  It
+keeps only D and a log of its elementary operations; the transforms, or
+just the rows and columns a caller reads, are replayed from the log.
 """
 
 from __future__ import annotations
@@ -128,26 +130,38 @@ def kernel_basis(A: Matrix) -> Matrix:
     return KH
 
 
-def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Returns (D, U, V, U_inv) with U·A·V = D diagonal, d_1 | d_2 | ...,
-    d_i >= 0, and U·U_inv = I.
+Op = Tuple[int, int, int]
+SmithLog = Tuple[List[Op], List[Op]]
+
+
+def smith_normal_form(A: Matrix) -> Tuple[Matrix, SmithLog]:
+    """Returns (D, (row_ops, col_ops)) with U·A·V = D diagonal,
+    d_1 | d_2 | ..., d_i >= 0, where U is the product of the row
+    operations and V of the column operations, in the order logged.
 
     Euclidean elimination (Cohen, Alg. 2.4.14) by swaps and adding a
     multiple of one row or column to another.  The pivot is the smallest
     nonzero |entry| of the trailing block, so a remainder left in its row
-    or column is a strictly smaller next pivot.  U_inv is kept as the
-    elimination runs: the inverse of each row operation on U is applied
-    to the columns of U_inv.
+    or column is a strictly smaller next pivot.  Only D is kept: an op
+    (i, j, c) on rows or columns swaps lines i and j if c = 0, negates
+    line i if i = j, and else adds c times line j to line i.
+    smith_transforms, transform_rows and inverse_columns replay the log.
+
+    Rows t and below are zero left of column t, so a row operation runs
+    over the nonzero entries of its source row from column t on; a column
+    operation changes only the rows with a nonzero entry in column t.
     """
     n = len(A)
     m = len(A[0]) if A else 0
     D = [row[:] for row in A]
-    U, U_inv, V = identity(n), identity(n), identity(m)
+    row_ops: List[Op] = []
+    col_ops: List[Op] = []
 
-    def add_row(dst, src, c):
-        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-        _addmul_col(U_inv, src, dst, -c)
+    def add_row(dst, src, c, support):
+        row, add = D[dst], D[src]
+        for j in support:
+            row[j] += c * add[j]
+        row_ops.append((dst, src, c))
 
     t = 0
     while t < min(n, m):
@@ -155,46 +169,95 @@ def smith_normal_form(A: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
         # first unit ends the scan
         best = 0
         for i in range(t, n):
-            for j in range(t, m):
-                a = abs(D[i][j])
-                if a and (not best or a < best):
-                    i0, j0, best = i, j, a
-            if best == 1:
-                break
+            a = min(map(abs, filter(None, D[i][t:])), default=0)
+            if a and (not best or a < best):
+                i0, best = i, a
+                if a == 1:
+                    break
         if not best:
             break
+        j0 = [*map(abs, D[i0])].index(best, t)
         if i0 != t:
             D[t], D[i0] = D[i0], D[t]
-            U[t], U[i0] = U[i0], U[t]
-            _swap_cols(U_inv, t, i0)
+            row_ops.append((t, i0, 0))
         if j0 != t:
-            _swap_cols(D, t, j0)
-            _swap_cols(V, t, j0)
+            for row in D[t:]:
+                row[t], row[j0] = row[j0], row[t]
+            col_ops.append((t, j0, 0))
         # reduce column t, then row t, by floor division
-        p = D[t][t]
-        for i in range(t + 1, n):
-            if D[i][t]:
-                add_row(i, t, -(D[i][t] // p))
-        for j in range(t + 1, m):
-            q = D[t][j] // p
+        Dt = D[t]
+        p = Dt[t]
+        support = [j for j in range(t, m) if Dt[j]]
+        for i in [i for i in range(t + 1, n) if D[i][t]]:
+            add_row(i, t, -(D[i][t] // p), support)
+        live = [row for row in D[t:] if row[t]]
+        for j in support[1:]:
+            q = Dt[j] // p
             if q:
-                _addmul_col(D, j, t, -q)
-                _addmul_col(V, j, t, -q)
-        if any(D[i][t] for i in range(t + 1, n)) or any(D[t][t + 1:]):
+                for row in live:
+                    row[j] -= q * row[t]
+                col_ops.append((j, t, -q))
+        if len(live) > 1 or any(Dt[t + 1:]):
             continue  # a remainder is the next, smaller pivot
         # make the pivot divide the rest of the block (a unit does)
         bad = abs(p) > 1 and next((i for i in range(t + 1, n)
                                    if any(x % p for x in D[i][t + 1:])), 0)
         if bad:
-            add_row(t, bad, 1)
+            add_row(t, bad, 1, range(t + 1, m))    # D[bad][t] = 0
             continue
         if p < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-            for row in U_inv:
-                row[t] = -row[t]
+            Dt[t] = -p
+            row_ops.append((t, t, -1))
         t += 1
-    return D, U, V, U_inv
+    return D, (row_ops, col_ops)
+
+
+def _replay(ops: List[Op], lines: List[int], size: int,
+            inverse: bool) -> Matrix:
+    """The unit vectors e_k, k in lines, of length size, run backwards
+    through ops.  An add op (i, j, c) sets v[j] += c·v[i], which gives
+    rows of U from row ops and columns of V from column ops; with inverse
+    it sets v[i] -= c·v[j], which gives columns of U^-1 from row ops."""
+    vecs = [[0] * size for _ in lines]
+    for v, k in zip(vecs, lines):
+        v[k] = 1
+    for i, j, c in reversed(ops):
+        if not c:
+            for v in vecs:
+                v[i], v[j] = v[j], v[i]
+        elif i == j:
+            for v in vecs:
+                v[i] = -v[i]
+        elif inverse:
+            for v in vecs:
+                v[i] -= c * v[j]
+        else:
+            for v in vecs:
+                v[j] += c * v[i]
+    return vecs
+
+
+def transform_rows(log: SmithLog, lines: List[int], n: int) -> Matrix:
+    """Rows s in lines of the n x n row transform U of a Smith form."""
+    return _replay(log[0], lines, n, False)
+
+
+def inverse_columns(log: SmithLog, lines: List[int], n: int) -> Matrix:
+    """Columns t in lines of U^-1 for the n x n row transform U of a Smith
+    form, each as a list."""
+    return _replay(log[0], lines, n, True)
+
+
+def smith_transforms(D: Matrix, log: SmithLog
+                     ) -> Tuple[Matrix, Matrix, Matrix]:
+    """All of (U, V, U_inv) for the Smith form D = U·A·V and its log."""
+    n = len(D)
+    m = len(D[0]) if D else 0
+    V_cols = _replay(log[1], list(range(m)), m, False)
+    U_inv_cols = inverse_columns(log, list(range(n)), n)
+    return (transform_rows(log, list(range(n)), n),
+            [list(r) for r in zip(*V_cols)],
+            [list(r) for r in zip(*U_inv_cols)])
 
 
 def invariant_factors(A: Matrix) -> List[int]:
@@ -210,10 +273,11 @@ def invariant_factors(A: Matrix) -> List[int]:
 def inverse_unimodular(U: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix (exact, via SNF transforms)."""
     n = len(U)
-    D, P, Q, _ = smith_normal_form(U)
+    D, log = smith_normal_form(U)
     for t in range(n):
         if D[t][t] != 1:
             raise ValueError("matrix is not unimodular")
+    P, Q, _ = smith_transforms(D, log)
     # P·U·Q = I  =>  U^{-1} = Q·P
     return mat_mul(Q, P)
 
@@ -225,7 +289,8 @@ def solve_integer_matrix(A: Matrix, Y: Matrix) -> Optional[Matrix]:
         return []
     n, m = len(A), len(A[0])
     k = len(Y[0])
-    D, U, V, _ = smith_normal_form(A)
+    D, log = smith_normal_form(A)
+    U, V, _ = smith_transforms(D, log)
     W = mat_mul(U, Y)
     Z = [[0] * k for _ in range(m)]
     for i in range(n):

@@ -19,9 +19,11 @@ from bsdkit.compgroup import (Component, FibreError, OrbitCluster,
                               expand_orbit, fixed_point_count,
                               tamagawa_number, validate_fibre)
 from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
-                           inverse_unimodular, kernel_basis, mat_mul,
-                           rank_det, smith_normal_form, solve_integer,
-                           solve_integer_matrix, solve_rational)
+                           inverse_columns, inverse_unimodular, kernel_basis,
+                           mat_mul, rank_det, smith_normal_form,
+                           smith_transforms, solve_integer,
+                           solve_integer_matrix, solve_rational,
+                           transform_rows)
 from bsdkit.modelfile import load_model, parse_fibre
 from bsdkit.rings import QQ, mat_rref
 
@@ -90,6 +92,40 @@ class TestValidate:
         F = SpecialFibre(2, [Component("A", 2), Component("B", 1)],
                          [[-1, 2], [2, -4]], {"A": "B", "B": "A"})
         assert validate_fibre(F)
+
+    def test_failed_checks_word_every_pair_in_order(self):
+        def fibre(mults, M, frob):
+            ids = "ABCD"[:len(mults)]
+            return SpecialFibre(3, [Component(c, k)
+                                    for c, k in zip(ids, mults)],
+                                M, dict(zip(ids, frob)))
+
+        def no_frob(pair):
+            return f"frobenius does not preserve the intersection " \
+                f"number of ({pair[0]}, {pair[1]})"
+
+        assert validate_fibre(fibre(
+            [1, 2, 1], [[-2, 1, 0], [2, -1, 1], [0, 2, -2]], "BAC")) == [
+            "intersection matrix asymmetric at pair (A, B): 1 != 2",
+            "intersection matrix asymmetric at pair (B, C): 1 != 2",
+            "weighted row sum for component B is 1, not 0",
+            "weighted row sum for component C is 2, not 0",
+            "frobenius does not preserve the multiplicity of A",
+            "frobenius does not preserve the multiplicity of B"] + [
+            no_frob(pair) for pair in
+            ("AA", "AB", "AC", "BA", "BB", "BC", "CA", "CB")]
+        assert validate_fibre(fibre(
+            [1, 1, 1, 1], [[-2, 1, 1, 0], [1, -2, 0, 1], [1, 0, -2, 1],
+                           [0, 1, 1, -2]], "BCAD")) == [
+            no_frob(pair) for pair in
+            ("AB", "AD", "BA", "BC", "CB", "CD", "DA", "DC")]
+        assert validate_fibre(fibre([1, 1], [[-1, 2], [1, -1]], "AA")) == [
+            "intersection matrix asymmetric at pair (A, B): 2 != 1",
+            "weighted row sum for component A is 1, not 0",
+            "frobenius is not a permutation of the component ids"]
+        assert validate_fibre(fibre([2], [[3]], "A")) == [
+            "weighted row sum for component A is 6, not 0"]
+        assert validate_fibre(fibre([], [], "")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +302,10 @@ def test_shuffled_orders_match_oracle():
 
 def test_component_group_factors_each_matrix_once(monkeypatch):
     # one Smith form, of the intersection matrix itself, and no Hermite
-    # form, kernel or lattice solve
-    calls = []
+    # form, kernel or lattice solve; of its transforms only the torsion
+    # rows of U and columns of U^-1 are replayed, never all of U, U^-1
+    # or V
+    calls, replayed = [], []
 
     def counting(name, fn):
         def wrapper(*args):
@@ -275,17 +313,70 @@ def test_component_group_factors_each_matrix_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def replaying(fn):
+        def wrapper(log, lines, n):
+            replayed.append((fn.__name__, len(lines)))
+            return fn(log, lines, n)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("all Smith transforms built")
+
     for fn in (smith_normal_form, hermite_normal_form, kernel_basis,
                solve_integer_matrix):
         wrapped = counting(fn.__name__, fn)
         for module in ("bsdkit.intmat", "bsdkit.compgroup"):
             monkeypatch.setattr(f"{module}.{fn.__name__}", wrapped)
+    for module in ("bsdkit.intmat", "bsdkit.compgroup"):
+        monkeypatch.setattr(f"{module}.smith_transforms", refuse,
+                            raising=False)
+    for fn in (transform_rows, inverse_columns):
+        monkeypatch.setattr(f"bsdkit.compgroup.{fn.__name__}",
+                            replaying(fn))
     n, edges, _ = theta_edges(6, 6, 5)
     for F in [cycle_fibre(k, rot=1) for k in (2, 5, 12, 30)] + \
             [graph_fibre(n, edges, list(range(n)), shuffled(n, 0))]:
         calls.clear()
-        component_group(F)
+        replayed.clear()
+        k = len(component_group(F).invariant_factors)
         assert calls == [("smith_normal_form", F.intersections)], calls
+        assert sorted(replayed) == [("inverse_columns", k),
+                                    ("transform_rows", k)], replayed
+
+
+def full_snf(A):
+    """D, U, V and U_inv of the production Smith form, the transforms
+    from the full replay of its log."""
+    D, log = smith_normal_form(A)
+    return (D, *smith_transforms(D, log))
+
+
+def test_targeted_replay_matches_full_replay():
+    # every kind of logged operation: row and column swaps (the smallest
+    # entry off the diagonal), a negative pivot, and the row add that
+    # makes the pivot divide the block (diag(2, 3))
+    rng = random.Random(11)
+    mats = [[[2, 0], [0, 3]], [[0, 5], [-3, 0]], [[-4, 6], [6, 9]],
+            [[4, 0, 6], [0, 6, 0], [10, 0, 15]]]
+    mats += [[[rng.randint(-20, 20) for _ in range(5)] for _ in range(4)]
+             for _ in range(20)]
+    kinds = set()
+    for A in mats:
+        n = len(A)
+        D, log = smith_normal_form(A)
+        U, V, U_inv = smith_transforms(D, log)
+        assert mat_mul(mat_mul(U, A), V) == D
+        for ops, name in zip(log, "RC"):
+            kinds |= {name + ("swap" if not c else "neg" if i == j else
+                              "add") for i, j, c in ops}
+        kinds |= {"divides" for i, j, c in log[0] if i < j and c == 1}
+        for lines in ([], [0], [n - 1, 0], list(range(n))):
+            assert transform_rows(log, lines, n) == [U[s] for s in lines]
+            assert inverse_columns(log, lines, n) == \
+                [[row[t] for row in U_inv] for t in lines]
+    assert kinds == {"Rswap", "Radd", "Rneg", "Cswap", "Cadd", "divides"}
+    D, log = smith_normal_form([[2, 0], [0, 3]])
+    assert D == [[1, 0], [0, 6]] and (0, 1, 1) in log[0]
 
 
 def test_snf_inverse_on_shuffled_theta():
@@ -294,7 +385,7 @@ def test_snf_inverse_on_shuffled_theta():
     sigma = [F.index(F.frobenius[c.id]) for c in F.components]
     _, C, _ = _kernel_coordinates(F, sigma)
     for A in (C, F.intersections):
-        D, U, V, U_inv = smith_normal_form(A)
+        D, U, V, U_inv = full_snf(A)
         assert mat_mul(mat_mul(U, A), V) == D
         assert mat_mul(U, U_inv) == identity(len(A))
     G = component_group(F)
@@ -307,7 +398,7 @@ def test_snf_transforms_stay_small_on_shuffled_theta():
     # gives U, U_inv and V of thousands of bits
     n, edges, _ = theta_edges(18, 20, 12)
     A = graph_fibre(n, edges, list(range(n)), shuffled(n, 81)).intersections
-    D, U, V, U_inv = smith_normal_form(A)
+    D, U, V, U_inv = full_snf(A)
     assert mat_mul(mat_mul(U, A), V) == D
     assert mat_mul(U, U_inv) == identity(n)
     for M in (U, U_inv, V):
@@ -352,7 +443,7 @@ def test_snf_inverse_on_random_matrices():
     for _ in range(40):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
         A = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(n)]
-        D, U, V, U_inv = smith_normal_form(A)
+        D, U, V, U_inv = full_snf(A)
         assert mat_mul(mat_mul(U, A), V) == D
         assert mat_mul(U, U_inv) == identity(n)
 
@@ -609,7 +700,7 @@ def test_hnf_check_rejects_other_column_forms():
 
 def check_snf_contract(A):
     """The Smith form contract on A; returns the diagonal of D."""
-    D, U, V, U_inv = smith_normal_form(A)
+    D, U, V, U_inv = full_snf(A)
     n, m = len(A), len(A[0]) if A else 0
     assert mat_mul(mat_mul(U, A), V) == D
     assert mat_mul(U, U_inv) == identity(n)
@@ -663,7 +754,7 @@ def test_invariant_factors_example():
 def test_inverse_unimodular():
     U = [[1, 2], [1, 3]]
     assert mat_mul(U, inverse_unimodular(U)) == identity(2)
-    _, P, _, P_inv = smith_normal_form(U)
+    _, P, _, P_inv = full_snf(U)
     assert mat_mul(P, P_inv) == identity(2)
 
 
