@@ -29,7 +29,7 @@ from .periods import (DEFAULT_TOL, PeriodError, RepeatedPrimeError,
                       period_pipeline)
 from .poly import MonomialOrder, ParseError, parse_polynomial
 from .rings import CoefficientRing, RingError, ZZ, is_prime
-from .vanishing import (VanishingError, vanishing_order,
+from .vanishing import (VanishingError, _truncated_order,
                         vanishing_order_truncated)
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def cmd_vanishing_order(args) -> int:
         res = vanishing_order_truncated(f, locus, r=args.truncate, m=m,
                                         mode=args.mode)
     else:
-        res = vanishing_order(f, locus, mode=args.mode, budget=args.budget)
+        res = _truncated_order(f, locus, args.budget, args.mode)
     return _emit({"order": res.order, "exact": res.exact})
 
 
@@ -251,15 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_tamagawa)
 
     v = sub.add_parser("vanishing-order",
-                       help="order of vanishing on a fibre component")
+                       help="order of vanishing on a fibre component",
+                       description="An f in the curve's ideal J exits 3.")
     v.add_argument("model")
     v.add_argument("--component", required=True)
     v.add_argument("--function", required=True)
     v.add_argument("--mode", choices=["direct", "modified"],
                    default="modified")
     v.add_argument("--truncate", type=int, default=None, metavar="R",
-                   help="run over Z/p^(floor(R/m)+1)Z")
-    v.add_argument("--budget", type=int, default=64)
+                   help="threshold as --budget, from Z/p^(floor(R/m)+1) "
+                        "with the file's m (too large an m can be wrong)")
+    v.add_argument("--budget", type=int, default=64,
+                   help="threshold: an order below it is exact, else it is "
+                        "printed with exact false; m computed over Z/p^e")
     v.set_defaults(func=cmd_vanishing_order)
 
     p = sub.add_parser("period", help="real period pipeline")

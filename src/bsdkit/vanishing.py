@@ -11,18 +11,21 @@ A chain depends only on the component, not on f, so each locus keeps its
 chains and builds each step once: every later order query on the same
 locus walks the steps already built and extends the chain only past them.
 
-Exact orders on a locus over ZZ (``rational_function_order``) come from
-one kept truncation of it to ZZ/p^e, where the Groebner work stays small;
-by the truncation proposition an order n computed there is exact when
-n <= e*m - 2, m the multiplicity, and e doubles until it is.  Each exact
-order is kept on the locus, so a repeated query runs no quotient test.
+Every order on a locus over ZZ comes from ``_truncated_order``: its chains
+run on one kept truncation of the locus to ZZ/p^e, where the Groebner work
+stays small.  By the truncation proposition an order n computed there is
+exact when n <= e*m - 2, m the multiplicity; m is computed on the same ring
+and kept, and e doubles until the answer is exact or reaches the threshold.
+The chain over ZZ itself (``vanishing_order`` on a ZZ locus) serves only as
+the tests' oracle.  Each exact order (``_exact_order``) is kept on the
+locus, so a repeated query runs no quotient test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Dict, List
+from math import gcd
+from typing import Dict, List, Optional
 
 from .groebner import (Ideal, _reduce, _syzygy_cofactors,
                        ideal_membership, ideal_sum, ideal_sum_product)
@@ -41,6 +44,9 @@ class VanishingError(ValueError):
 
 class FunctionVanishesOnCurve(VanishingError):
     """f lies in J: the order along a component is undefined/infinite."""
+
+    def __init__(self, message="f vanishes identically on the curve V(J)"):
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,7 @@ class ComponentLocus:
         for g in self.J.generators:
             if not ideal_membership(g, self.I):
                 raise VanishingError(f"generator {g} of J is not in I")
-        p_const = Polynomial.constant(self.I.ring, self.I.variables, self.p,
-                                      self.I.order)
+        p_const = _p_const(self)
         if not p_const.is_zero() and not ideal_membership(p_const, self.I):
             raise VanishingError(f"{self.p} is not in I")
         # I must be prime and O_{V(J),I} regular; both are the caller's
@@ -101,9 +106,6 @@ class ComponentLocus:
 class VanishingOrder:
     order: int
     exact: bool   # False when the budget was hit ("at least" semantics)
-
-    def __int__(self):
-        return self.order
 
 
 class _Witness(Exception):
@@ -165,18 +167,6 @@ def _chain_step(locus: ComponentLocus, mode: str, n: int) -> Ideal:
     return chain[n - 1]
 
 
-def _direct_chain(locus: ComponentLocus):
-    """I_n = I_{n-1} * I + J; yields I_1, I_2, ..."""
-    for n in count(1):
-        yield _chain_step(locus, "direct", n)
-
-
-def _modified_chain(locus: ComponentLocus):
-    """J_n / I_n^modified chain; yields I_n^modified at each step."""
-    for n in count(1):
-        yield _chain_step(locus, "modified", n)
-
-
 def vanishing_order(f: Polynomial, locus: ComponentLocus,
                     mode: str = "modified",
                     budget: int = DEFAULT_ORDER_BUDGET) -> VanishingOrder:
@@ -185,8 +175,7 @@ def vanishing_order(f: Polynomial, locus: ComponentLocus,
         raise VanishingError(f"unknown mode {mode!r}")
     if f.is_zero() or (not locus.J.is_zero()
                        and ideal_membership(f, locus.J)):
-        raise FunctionVanishesOnCurve(
-            "f vanishes identically on the curve V(J)")
+        raise FunctionVanishesOnCurve()
     for n in range(1, budget + 1):
         if not _quotient_outside(_chain_step(locus, mode, n), f, locus.I):
             return VanishingOrder(n - 1, exact=True)
@@ -196,12 +185,11 @@ def vanishing_order(f: Polynomial, locus: ComponentLocus,
 def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
                               r: int, m: int,
                               mode: str = "modified") -> VanishingOrder:
-    """Run the chain over ZZ/p^(floor(r/m)+1)ZZ, on the locus's kept
-    truncation (``ComponentLocus.truncated``).
+    """ord_D(f) if below the threshold r, else (r, exact=False), from
+    ZZ/p^(floor(r/m)+1) on: ``_truncated_order`` with m taken as given.
 
-    A result < r is exact; otherwise only "order >= r" is known.  That
-    includes a nonzero f that is 0 or lies in J over ZZ/p^e: then
-    ord_D(f) >= e*m > r.
+    A smaller m than the true multiplicity only costs a bigger ring; a
+    larger one can give a wrong answer.
     """
     if r < 1:
         raise VanishingError("threshold r must be >= 1")
@@ -209,65 +197,72 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
         raise VanishingError("multiplicity m must be >= 1")
     if locus.ring.kind != "ZZ":
         raise VanishingError("truncated computation starts from ZZ data")
-    if f.is_zero():
-        raise FunctionVanishesOnCurve(
-            "f vanishes identically on the curve V(J)")
-    T = locus.truncated(r // m + 1)
-    try:
-        res = vanishing_order(f.change_ring(T.ring), T, mode=mode, budget=r)
-    except FunctionVanishesOnCurve:
-        return VanishingOrder(r, exact=False)
-    if res.exact and res.order < r:
-        return res
-    return VanishingOrder(r, exact=False)
+    return _truncated_order(f, locus, r, mode, e=r // m + 1, m=m)
+
+
+def _p_const(locus: ComponentLocus) -> Polynomial:
+    return Polynomial.constant(locus.ring, locus.I.variables, locus.p,
+                               locus.I.order)
 
 
 def multiplicity_of_component(locus: ComponentLocus) -> int:
-    """Order of vanishing of the constant p: the fibre multiplicity.
+    """Order of vanishing of the constant p: the fibre multiplicity, an
+    ``_exact_order`` kept on the locus."""
+    return _exact_order(_p_const(locus), locus)
 
-    One order query on the locus itself, so its chain serves the later
-    ``vanishing_order`` queries too.  Over ZZ/p^e with e >= 2 the answer m is exact by
-    the truncation proposition, since m < e*m.
+
+def _truncated_order(f: Polynomial, locus: ComponentLocus,
+                     budget: int = DEFAULT_ORDER_BUDGET,
+                     mode: str = "modified", e: Optional[int] = None,
+                     m: Optional[int] = None) -> VanishingOrder:
+    """ord_D(f) on a ZZ locus if below budget, else (budget, exact=False),
+    from chains over ZZ/p^e (``truncated``); e starts at the one given, or
+    at TRUNCATION_START or the kept ring, and doubles until e*m - 1 reaches
+    the budget.
+
+    An answer n over ZZ/p^e is exact when n <= e*m - 2, so each ring is
+    asked with budget min(e*m - 1, budget).  Without a given m the first
+    ask takes m = 1; if it is not exact, the true m is computed on that
+    ring as the order of p (exact for e >= 2) and kept as
+    ``locus._orders[p]``.  Only that m splits off the p-content:
+    ord(p^a * u) = a*m + ord(u).  An f that is 0 or in J over ZZ/p^e has
+    order >= e*m unless it lies in J over ZZ.
     """
-    p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
-                                  locus.I.order)
-    res = vanishing_order(p_const, locus)
-    if not res.exact:
-        raise VanishingError("budget hit while computing multiplicity")
-    return res.order
-
-
-def _truncated_order(f: Polynomial, locus: ComponentLocus) -> int:
-    """ord_D(f) on a ZZ locus, from chains over ZZ/p^e (``truncated``).
-
-    An answer n over ZZ/p^e is exact when n <= e*m - 2.  A first ask with
-    budget e - 1 needs no m (m >= 1); otherwise m is computed on the same
-    ring as the order of p, exact for e >= 2 and never the declared value,
-    and the ask is repeated with budget min(e*m - 1, DEFAULT_ORDER_BUDGET).
-    An f that is 0 or in J over ZZ/p^e has order >= e*m unless it lies in
-    J over ZZ.  e doubles until the budget is DEFAULT_ORDER_BUDGET.
-    """
-    p_const = Polynomial.constant(locus.ring, locus.I.variables, locus.p,
-                                  locus.I.order)
-    e = max([TRUNCATION_START, *locus._truncated])
+    if f.is_zero():
+        raise FunctionVanishesOnCurve()
+    p_const, p = _p_const(locus), locus.p
+    a, c = 0, gcd(*f.terms.values())
+    while c % p == 0:
+        a, c = a + 1, c // p
+    e = e or max([TRUNCATION_START, *locus._truncated])
     while True:
+        known = locus._orders.get(p_const)
+        if a and known:
+            if a * known < budget:
+                u = Polynomial(f.ring, f.variables, {
+                    x: y // p ** a for x, y in f.terms.items()}, f.order)
+                res = _truncated_order(u, locus, budget - a * known, mode,
+                                       e, m)
+                return VanishingOrder(a * known + res.order, res.exact)
+            if ideal_membership(f, locus.J):
+                raise FunctionVanishesOnCurve()
+            return VanishingOrder(budget, exact=False)
         T = locus.truncated(e)
-        m = locus._orders.get(p_const)
-        budget = e - 1 if m is None else min(e * m - 1, DEFAULT_ORDER_BUDGET)
+        cap = min(e * (m or known or 1) - 1, budget)
         try:
-            res = vanishing_order(f.change_ring(T.ring), T, budget=budget)
+            res = vanishing_order(f.change_ring(T.ring), T, mode, cap)
         except FunctionVanishesOnCurve:
             if ideal_membership(f, locus.J):
                 raise
             res = None
         if res is not None and res.exact:
-            return res.order
-        if m is None:
-            m = locus._orders[p_const] = multiplicity_of_component(T)
-            if res is not None and m > 1:
+            return res
+        if cap == budget:
+            return VanishingOrder(budget, exact=False)
+        if not (m or known):
+            known = locus._orders[p_const] = multiplicity_of_component(T)
+            if known > 1 or a:      # a larger cap, or the p-content splits
                 continue
-        if e * m - 1 >= DEFAULT_ORDER_BUDGET:
-            raise VanishingError("budget hit")
         e *= 2
 
 
@@ -275,14 +270,11 @@ def _exact_order(f: Polynomial, locus: ComponentLocus) -> int:
     """ord_D(f), kept on the locus; over ZZ from ``_truncated_order``."""
     order = locus._orders.get(f)
     if order is None:
-        if locus.ring.kind == "ZZ":
-            order = _truncated_order(f, locus)
-        else:
-            res = vanishing_order(f, locus)
-            if not res.exact:
-                raise VanishingError("budget hit")
-            order = res.order
-        locus._orders[f] = order
+        res = (_truncated_order(f, locus) if locus.ring.kind == "ZZ"
+               else vanishing_order(f, locus))
+        if not res.exact:
+            raise VanishingError("budget hit")
+        order = locus._orders[f] = res.order
     return order
 
 

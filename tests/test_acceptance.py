@@ -29,8 +29,8 @@ from bsdkit.periods import (BigPeriodMatrix, DifferentialRep,
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial, poly_gcd
 from bsdkit.rings import ZZ, CoefficientRing
 from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
-                              _direct_chain, _modified_chain,
-                              vanishing_order, vanishing_order_truncated)
+                              _chain_step, vanishing_order,
+                              vanishing_order_truncated)
 
 from conftest import (P, const, criterion4_corpus, criterion5_fibres,
                       fixture_path, sect31_locus)
@@ -94,18 +94,14 @@ def test_criterion_2_groebner_chain_benchmark():
 
     # modified chain to step 18
     t0 = time.monotonic()
-    chain = _modified_chain(bench_locus())
-    for _ in range(18):
-        In_mod = next(chain)
+    In_mod = _chain_step(bench_locus(), "modified", 18)
     gb_mod = In_mod.groebner_basis()
     t_mod = time.monotonic() - t0
     assert t_mod < 120.0
 
     # direct chain to step 18
     t0 = time.monotonic()
-    chain = _direct_chain(bench_locus())
-    for _ in range(18):
-        In_dir = next(chain)
+    In_dir = _chain_step(bench_locus(), "direct", 18)
     gb_dir = In_dir.groebner_basis()
     t_dir = time.monotonic() - t0
 

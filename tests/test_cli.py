@@ -86,11 +86,14 @@ class TestVanishingOrder:
                        "--component", "D0", "--function", "1")
         assert doc == {"order": 0, "exact": True}
 
-    def test_function_in_J_exit3(self, capsys):
+    @pytest.mark.parametrize("flags", [(), ("--truncate", "5"),
+                                       ("--budget", "5")],
+                             ids=["no-flag", "truncate5", "budget5"])
+    def test_function_in_J_exit3(self, capsys, flags):
         code, out, err = run(capsys, "vanishing-order",
                              fixture_path("sect31.json"),
                              "--component", "D0",
-                             "--function", "y^2 - x^2 + 2*x + 2")
+                             "--function", "y^2 - x^2 + 2*x + 2", *flags)
         assert code == 3 and out == ""
         assert "vanishes" in err
 

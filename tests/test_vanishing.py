@@ -1,6 +1,7 @@
 """vanishing module: Algorithm 3, truncation, modified chain."""
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -10,19 +11,19 @@ from bsdkit import groebner, vanishing
 from bsdkit.groebner import (BudgetExceededError, Ideal, ideal_contained_in,
                              ideal_membership, ideal_quotient,
                              ideal_sum_product)
-from bsdkit.modelfile import parse_prime_model
+from bsdkit.cli import main
+from bsdkit.modelfile import component_locus, load_model, parse_prime_model
 from bsdkit.periods import BigPeriodMatrix, period_pipeline
 from bsdkit.poly import GREVLEX, Polynomial, parse_polynomial
 from bsdkit.rings import ZZ, CoefficientRing
 from bsdkit.vanishing import (ComponentLocus, FunctionVanishesOnCurve,
-                              VanishingError, _direct_chain,
-                              _modified_chain,
+                              VanishingError, _chain_step,
                               multiplicity_of_component,
                               rational_function_order, vanishing_order,
                               vanishing_order_truncated)
 
 from conftest import (P, assert_is_quotient, const, criterion2_locus,
-                      sect31_locus)
+                      fixture_path, sect31_locus)
 
 
 class TestVanishingOrder:
@@ -161,8 +162,10 @@ def test_multiplicity_is_one_order_query(name):
     m = doubling_multiplicity(make())
     loc = make()
     assert multiplicity_of_component(loc) == m
-    # the query's chain stays on the locus for later queries
-    assert len(loc._chains["modified"]) == m + 1
+    # the query's chain stays on the locus's kept truncation for later
+    # queries, and the ZZ locus builds none
+    (kept,) = loc._truncated.values()
+    assert len(kept._chains["modified"]) == m + 1 and not loc._chains
     assert multiplicity_of_component(
         loc.change_ring(CoefficientRing.Zmod(2, 2))) == m
 
@@ -236,12 +239,9 @@ def test_additivity_of_orders():
 
 def test_direct_chain_descends():
     loc = sect31_locus()
-    chain = _direct_chain(loc)
-    prev = next(chain)
-    for _ in range(4):
-        cur = next(chain)
+    steps = [_chain_step(loc, "direct", n) for n in range(1, 6)]
+    for prev, cur in zip(steps, steps[1:]):
         assert ideal_contained_in(cur, prev)
-        prev = cur
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +434,9 @@ def test_truncated_orders_match_zz_chain(name):
         want = vanishing_order(f, oracle)
         assert want.exact
         assert rational_function_order(f, one, loc) == want.order
-    # 8 is 0 over ZZ/2^3, the first ring, and has order 3m > 3m - 2: e
-    # doubles; g + 8 for g in J lies in J over ZZ/2^3 but not over ZZ
+    # 8 is 0 over ZZ/2^3, the first ring: its order 3m comes from the
+    # p-content; g + 8 for g in J lies in J over ZZ/2^3 but not over ZZ,
+    # and its order 3m > 3m - 2 makes e double
     g = loc.J.generators[-1]
     for f in (zz_poly("8", loc), g + zz_poly("8", loc)):
         assert rational_function_order(f, one, loc) == \
@@ -457,6 +458,74 @@ def test_truncated_order_budget_matches_zz_chain():
         rational_function_order(at, const(1), loc)
 
 
+def test_p_content_budget_hit_builds_m_plus_one_steps(monkeypatch):
+    # 2^17 is 0 over ZZ/2^3: the multiplicity m = 4 computed there splits
+    # off 17*m >= 64 with no longer chain; a step past m + 1 fails at once
+    # instead of building the 64-step chain
+    m, steps = 4, []
+    product = vanishing.ideal_sum_product
+
+    def counted(*args):
+        steps.append(args)
+        assert len(steps) <= m + 1, "chain built past step m + 1"
+        return product(*args)
+
+    monkeypatch.setattr(vanishing, "ideal_sum_product", counted)
+    loc = c2_locus(28)
+    with pytest.raises(VanishingError, match="^budget hit$"):
+        rational_function_order(zz_poly("2^17", loc), zz_poly("1", loc), loc)
+    assert loc._orders[zz_poly("2", loc)] == m
+
+
+@pytest.mark.parametrize("name", ["sect31", "genus2_p2"])
+def test_p_content_orders_match_zz_chain(name):
+    if name == "sect31":
+        make = sect31_locus
+    else:
+        doc = load_model(fixture_path("genus2_p2.json"))
+        make = functools.partial(component_locus, doc, "D0")
+    loc = make()
+    m = multiplicity_of_component(loc)
+    assert loc._orders[zz_poly(str(loc.p), loc)] == m
+    for a in range(4):
+        for u in ("1", "x + y", "x + 1", "y"):
+            f = zz_poly(f"{loc.p}^{a} * ({u})", loc)
+            want = vanishing_order(f, make())
+            assert want.exact
+            assert rational_function_order(f, zz_poly("1", loc), loc) == \
+                want.order
+    assert not loc._chains
+
+
+def test_no_chain_over_zz_in_production(monkeypatch, capsys, tmp_path):
+    chain_step = vanishing._chain_step
+
+    def refuse_zz(locus, mode, n):
+        assert locus.ring.kind != "ZZ", "a chain step over ZZ"
+        return chain_step(locus, mode, n)
+
+    monkeypatch.setattr(vanishing, "_chain_step", refuse_zz)
+    k10 = tmp_path / "c2_k10.json"
+    k10.write_text(json.dumps(c2_z_model(10)))
+    sect31 = fixture_path("sect31.json")
+    for path, f, flags, order, exact in (
+            (sect31, "2", (), 2, True), (sect31, "(x + y)^3", (), 3, True),
+            (k10, "2", (), 2, True), (k10, "2*z*(x + y)", (), 5, True),
+            (k10, "z^5", (), 10, True), (k10, "z^5", ("--budget", "8"), 8,
+                                         False)):
+        assert main(["vanishing-order", str(path), "--component", "D0",
+                     "--function", f, *flags]) == 0
+        assert json.loads(capsys.readouterr().out) == {"order": order,
+                                                       "exact": exact}
+    assert main(["period", fixture_path("genus2_p2.json"), "--matrix-file",
+                 fixture_path("matrix_g2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["W"] == {"2": "1"}
+    # a chart with no declared multiplicity computes it
+    model, _ = parse_prime_model(c2_z_model(10))
+    model.charts[0].multiplicity = None
+    assert model.charts[0].get_multiplicity() == 2
+
+
 def test_truncation_keeps_one_ring(monkeypatch):
     steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
     loc = sect31_locus()
@@ -475,8 +544,9 @@ def test_truncation_keeps_one_ring(monkeypatch):
 
 
 def test_criterion2_chain_sizes_to_step_18():
-    chain = _modified_chain(criterion2_locus())
-    sizes = [len(next(chain).groebner_basis()) for _ in range(18)]
+    loc = criterion2_locus()
+    sizes = [len(_chain_step(loc, "modified", n).groebner_basis())
+             for n in range(1, 19)]
     assert sizes == [3, 3, 3, 3, 8, 8, 8, 8, 13, 13, 13, 13,
                      19, 19, 20, 19, 30, 30]
 
@@ -492,9 +562,9 @@ def test_criterion2_chain_work_to_step_12(monkeypatch):
     reductions = count_calls(monkeypatch, groebner, "_reduce")
     memberships = count_calls(monkeypatch, vanishing, "_reduce")
     runs = count_calls(monkeypatch, groebner, "_buchberger")
-    chain = _modified_chain(criterion2_locus())
-    for _ in range(12):
-        next(chain).groebner_basis()
+    loc = criterion2_locus()
+    for n in range(1, 13):
+        _chain_step(loc, "modified", n).groebner_basis()
     assert len(reductions) + len(memberships) == 1709
     assert len(runs) == 104
 
@@ -504,7 +574,7 @@ def test_known_basis_saves_reductions(monkeypatch):
     # enters the run as a strong basis, so no pair inside it is queued;
     # the cofactors reported differ, the quotient does not
     loc = criterion2_locus()
-    In = vanishing._chain_step(loc, "modified", 5)
+    In = _chain_step(loc, "modified", 5)
     Jn = ideal_sum_product(In.interreduced(), loc.I, loc.J).interreduced()
     x = In.groebner_basis()[-1]
     buchberger = groebner._buchberger
@@ -548,9 +618,7 @@ def test_criterion2_quotients_match_elimination(monkeypatch):
     # the 83 quotients of the chain to step 12; by step 18 the lex
     # elimination passes the degree cap
     calls = count_calls(monkeypatch, vanishing, "_quotient_outside")
-    chain = _modified_chain(criterion2_locus())
-    for _ in range(12):
-        next(chain)
+    _chain_step(criterion2_locus(), "modified", 12)
     monkeypatch.undo()
     assert len(calls) == 83
     check_filter_calls(calls)
@@ -578,7 +646,7 @@ def test_random_filter_matches_quotient(kind):
         loc = loc.change_ring(RINGS[kind](loc.p))
         vs = loc.I.variables
         for n in (1, 2, 3):
-            In = vanishing._chain_step(loc, "modified", n)
+            In = _chain_step(loc, "modified", n)
             for text in ("x + y", "x - 1", "x*y + y", str(loc.p)):
                 f = parse_polynomial(text, loc.ring, vs, GREVLEX)
                 if f.is_zero():
