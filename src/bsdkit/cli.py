@@ -20,7 +20,7 @@ import sys
 from . import groebner
 from .compgroup import FibreError, component_group, fixed_point_count
 from .fieldtower import (FieldTower, FieldTowerError, extend_inert,
-                         optimise_discriminant, subfield_property_check)
+                         optimise_discriminant)
 from .groebner import GroebnerError, Ideal
 from .modelfile import (ModelMathError, SchemaError, component_locus,
                         load_matrix_file, load_model, parse_fibre,
@@ -208,9 +208,6 @@ def cmd_extend_field(args) -> int:
     node = tower.base_node()
     for ell in ells:
         node = extend_inert(node, ell, args.p)
-    ok, missing = subfield_property_check(node)
-    if not ok:
-        raise FieldTowerError(f"registry misses degrees {missing}")
     registry = {}
     for d, (sub, w) in sorted(node.registry().items()):
         registry[str(d)] = {

@@ -466,6 +466,10 @@ class FieldTower:
     # -- registry
 
     def _build_registry(self, node: NumberFieldNode):
+        """The one exact check of every embedding witness: for each
+        divisor d of the degree, the subfield of degree d and a witness w
+        with sub.defining_poly(w) = 0 mod node.defining_poly, else
+        FieldTowerError."""
         reg: Dict[int, Tuple[NumberFieldNode, Tuple[Fraction, ...]]] = {}
         for d in _divisors(node.degree):
             fac = factorize(d)
@@ -514,8 +518,10 @@ def extend_inert(K: NumberFieldNode, ell: int, p: int) -> NumberFieldNode:
 
 def subfield_property_check(K: NumberFieldNode
                             ) -> Tuple[bool, List[int]]:
-    """Audit: a registered subfield with a verified embedding witness for
-    every divisor of the degree."""
+    """Library audit: re-verifies that the registry holds a subfield of
+    degree d with an exact embedding witness for every divisor d of the
+    degree.  `_build_registry` has already checked each witness, so the
+    CLI does not call this."""
     missing: List[int] = []
     reg = K.registry()
     for d in _divisors(K.degree):

@@ -265,26 +265,25 @@ def up_is_squarefree(R, f) -> bool:
 
 
 def up_is_irreducible(R, f) -> bool:
-    """Irreducibility over the finite field R with q = p^k elements, via
-    the x^(q^d) - x ladder (Rabin): f of degree n is irreducible iff
-    x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for each prime r | n.
-    The powers x^(q^d) are built one q-th power at a time, so the rungs
-    share their work."""
+    """Irreducibility over the finite field R with q = p^k elements, by
+    Ben-Or's test (Ben-Or 1981; Gao and Panario, "Tests and constructions
+    of irreducible polynomials over finite fields", 1997): f of degree n
+    is irreducible iff gcd(x^(q^d) - x, f) = 1 for d = 1..n/2.  A
+    reducible f, squares included, has an irreducible factor of degree
+    d <= n/2, which divides the gcd at rung d, so the test stops there.
+    Each rung x^(q^d) mod f is one q-th power of the one before."""
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
     q = R.p ** (R.k or 1)
     x = (R.zero(), R.one())
-    frob = [x]                          # frob[d] = x^(q^d) mod f
-    for _ in range(n):
-        frob.append(up_powmod(R, frob[-1], q, f))
-    if frob[n] != x:
-        return False
     one = (R.one(),)
-    return all(up_gcd(R, up_sub(R, frob[n // r], x), f) == one
-               for r in factorize(n))
+    h = x                               # h = x^(q^d) mod f at rung d
+    for _ in range(n // 2):
+        h = up_powmod(R, h, q, f)
+        if up_gcd(R, up_sub(R, h, x), f) != one:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

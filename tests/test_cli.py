@@ -366,6 +366,40 @@ class TestExtendField:
                      "--seed", "7", "--iters", "20")
         assert a == b
 
+    def test_wrong_witness_exit3(self, capsys, monkeypatch):
+        # the registry's check is the one check of each witness
+        from bsdkit.fieldtower import FieldTower
+        from bsdkit.rings import QQ, up
+        monkeypatch.setattr(FieldTower, "embed",
+                            lambda self, sub, node: up(QQ, (1,))
+                            if sub.degree > 1 else ())
+        code, out, err = run(capsys, "extend-field", "--ell", "2,3",
+                             "--p", "2", "--seed", "1")
+        assert (code, out) == (3, "")
+        assert "failed verification" in err
+
+    def test_work_counts(self, capsys, monkeypatch):
+        # machine-independent counts of one small tower: Ben-Or's test
+        # stops each candidate at its smallest factor and an irreducible
+        # one at rung n/2 (one up_powmod call a rung), and each embedding
+        # witness is composed once, when the registry is built
+        from bsdkit import fieldtower, rings
+        calls = {"up_powmod": 0, "_compose_mod": 0}
+
+        def count(module, name):
+            orig = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return orig(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        count(rings, "up_powmod")
+        count(fieldtower, "_compose_mod")
+        run_json(capsys, "extend-field", "--ell", "2,3", "--p", "2",
+                 "--seed", "1", "--iters", "0")
+        assert calls == {"up_powmod": 7, "_compose_mod": 8}
+
 
 # ---------------------------------------------------------------------------
 # numeric flags out of range: exit 2, nothing on stdout, the flag on stderr

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bsdkit import rings
 from bsdkit.rings import (QQ, ZZ, CoefficientRing, RingError, up, up_add,
                           up_divmod, up_gcd, up_is_irreducible,
                           up_is_squarefree, up_mod, up_mul, up_powmod)
@@ -149,6 +150,63 @@ def test_irreducible_count_matches_necklace_formula(p, k, max_n):
         found = sum(up_is_irreducible(R, c + (R.one(),))
                     for c in itertools.product(elems, repeat=n))
         assert found == expected, (q, n)
+
+
+def smallest_factor_degree(R, f):
+    """Degree of the smallest irreducible factor of the monic f, by trial
+    division by every monic polynomial of degree <= n/2; None when f is
+    irreducible."""
+    n = degree(f)
+    for d in range(1, n // 2 + 1):
+        for c in itertools.product(elements(R), repeat=d):
+            if not up_mod(R, f, c + (R.one(),)):
+                return d
+    return None
+
+
+def draw_monic(R, rng, n, lowest):
+    """A random monic f of degree n with no irreducible factor of degree
+    below `lowest`, and the degree of its smallest factor (None when f is
+    irreducible)."""
+    while True:
+        f = up(R, [random_element(R, rng) for _ in range(n)] + [R.one()])
+        d = smallest_factor_degree(R, f)
+        if d is None or d >= lowest:
+            return f, d
+
+
+def ben_or_cases(R, rng):
+    """(f, d) with f monic of degree n <= 8 and d the degree of its
+    smallest irreducible factor (None when f is irreducible): a product
+    for each d <= n/2, the square of an irreducible of each degree up to
+    4, and an irreducible of each degree up to 8."""
+    def irreducible(n):
+        return draw_monic(R, rng, n, n // 2 + 1)[0]
+
+    cases = [(irreducible(n), None) for n in range(1, 9)]
+    cases += [(up_mul(R, g, g), degree(g))
+              for g in map(irreducible, range(1, 5))]
+    for n in range(2, 9):
+        for d in range(1, n // 2 + 1):
+            h, _ = draw_monic(R, rng, n - d, d)
+            cases.append((up_mul(R, irreducible(d), h), d))
+    return cases
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_ben_or_matches_trial_division(monkeypatch, p, k):
+    # Ben-Or stops at the rung of f's smallest factor, and an irreducible
+    # f takes floor(n/2) rungs, each one up_powmod call
+    R = CoefficientRing.GF(p, k)
+    rungs = []
+    powmod = rings.up_powmod
+    monkeypatch.setattr(rings, "up_powmod",
+                        lambda *args: rungs.append(1) or powmod(*args))
+    for f, d in ben_or_cases(R, random.Random("ben-or")):
+        assert smallest_factor_degree(R, f) == d, f
+        rungs.clear()
+        assert up_is_irreducible(R, f) == (d is None), f
+        assert len(rungs) == (degree(f) // 2 if d is None else d), f
 
 
 def test_squarefree():
