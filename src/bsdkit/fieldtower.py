@@ -26,7 +26,6 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intmat import solve_rational
-from .poly import Polynomial
 from .rings import (QQ, ZZ, CoefficientRing, factorize, find_irreducible,
                     is_prime, up, up_add, up_is_irreducible,
                     up_is_squarefree, up_mod, up_mul, up_scale, up_sub,
@@ -153,9 +152,6 @@ class _TowerAlgebra:
         return e
 
     def y_elem(self):
-        if self.ell == 1:
-            # y = -H[0] in the quotient
-            return [up_mod(ZZ, up_scale(ZZ, self.H[0], -1), self.f1)]
         e = self.zero()
         e[1] = (1,)
         return e
@@ -242,6 +238,9 @@ class NumberFieldNode:
     defining_poly: Tuple[int, ...]
     levels: Dict[int, int]                       # prime -> chain exponent
     gen_images: Dict[int, Tuple[Fraction, ...]]  # top chain gen -> image
+    # how embed builds the primitive element: (ell, level, s, c_pow) per
+    # chain, theta = y + s * x^c_pow after the first
+    recipe: List[Tuple[int, int, int, int]]
     subfield_registry: Dict[int, Tuple["NumberFieldNode",
                                        Tuple[Fraction, ...]]] = \
         field(default_factory=dict)
@@ -260,7 +259,7 @@ def _divisors(n: int) -> List[int]:
 
 def is_inert(f, p: int) -> bool:
     """Whether p is inert in QQ[x]/(f): f irreducible mod p."""
-    fi = _as_int_poly(f)
+    fi = tuple(map(int, f))
     if not fi or fi[-1] != 1:
         raise FieldTowerError("f must be monic")
     F = CoefficientRing.GF(p)
@@ -294,20 +293,6 @@ def _random_irreducible(R: CoefficientRing, degree: int, rng: random.Random):
                           f"degree-{degree} polynomial")
 
 
-def _as_int_poly(f) -> Tuple[int, ...]:
-    if isinstance(f, Polynomial):
-        if len(f.variables) != 1:
-            raise FieldTowerError("expected a univariate polynomial")
-        if f.ring.kind != "ZZ":
-            raise FieldTowerError("expected integer coefficients")
-        deg = f.total_degree()
-        out = [0] * (deg + 1)
-        for e, c in f.terms.items():
-            out[e[0]] = c
-        return tuple(out)
-    return tuple(int(c) for c in f)
-
-
 class FieldTower:
     """Per-prime chains of inert fields over QQ, with composita cached."""
 
@@ -321,8 +306,6 @@ class FieldTower:
         self.chains: Dict[int, List[ChainLevel]] = {}
         self._node_cache: Dict[Tuple[Tuple[int, int], ...],
                                NumberFieldNode] = {}
-        self._recipes: Dict[Tuple[Tuple[int, int], ...],
-                            List[Tuple[int, int, int, int]]] = {}
 
     # -- base field
 
@@ -382,9 +365,8 @@ class FieldTower:
             while len(self.chains.get(ell, [])) < a:
                 self._grow_chain(ell)
         if not levels:
-            node = NumberFieldNode(self, 1, (0, 1), {}, {})
+            node = NumberFieldNode(self, 1, (0, 1), {}, {}, [])
             self._node_cache[key] = node
-            self._recipes[key] = []
             return node
         primes = sorted(levels)
         ell0 = primes[0]
@@ -427,9 +409,8 @@ class FieldTower:
             cur_poly = g
             degree = len(cur_poly) - 1
         node = NumberFieldNode(self, degree, cur_poly, dict(levels),
-                               gen_images)
+                               gen_images, recipe)
         self._node_cache[key] = node
-        self._recipes[key] = recipe
         return node
 
     # -- chain-generator images inside a node
@@ -450,13 +431,11 @@ class FieldTower:
               ) -> Tuple[Fraction, ...]:
         """Witness w with sub.defining_poly(w) = 0 mod node.defining_poly,
         sending sub's primitive element to its image in node."""
-        key = tuple(sorted(sub.levels.items()))
-        recipe = self._recipes[key]
-        if not recipe:
+        if not sub.recipe:
             return ()        # QQ: generator 0
-        ell, lev, _, _ = recipe[0]
+        (ell, lev, _, _), *rest = sub.recipe
         img = self._chain_gen_image(node, ell, lev)
-        for (ell, lev, s, c_pow) in recipe[1:]:
+        for (ell, lev, s, c_pow) in rest:
             # y + s * x^c_pow, with x the image built so far
             shift = _compose_mod((0,) * c_pow + (s,), img,
                                  node.defining_poly)
@@ -472,13 +451,8 @@ class FieldTower:
         FieldTowerError."""
         reg: Dict[int, Tuple[NumberFieldNode, Tuple[Fraction, ...]]] = {}
         for d in _divisors(node.degree):
-            fac = factorize(d)
-            if any(ell not in node.levels
-                   or fac[ell] > node.levels[ell] for ell in fac):
-                raise FieldTowerError(
-                    f"divisor {d} is not a product of chain degrees")
-            sub = self.node_for({ell: fac.get(ell, 0)
-                                 for ell in node.levels})
+            # d | prod ell^a has only those ell, each to at most a
+            sub = self.node_for(factorize(d))
             w = self.embed(sub, node)
             if _compose_mod(sub.defining_poly, w, node.defining_poly):
                 raise FieldTowerError(
@@ -546,7 +520,7 @@ def optimise_discriminant(f, p: int, iterations: int = 200,
                           seed: int = 0) -> DiscriminantDescent:
     """Greedy descent: repeatedly add/subtract p times a random monomial,
     keeping the change only when |disc| does not grow."""
-    fi = _as_int_poly(f)
+    fi = tuple(map(int, f))
     if not fi or fi[-1] != 1:
         raise FieldTowerError("f must be monic")
     if not is_inert(fi, p):

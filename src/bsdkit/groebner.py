@@ -340,7 +340,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
                 base: Optional[_Reducers] = None,
                 sink=None) -> List[_Entry]:
     """A strong basis of (gens) plus the ``base`` entries under ``order``,
-    as unreduced entries.
+    as unreduced entries.  The gens are nonzero: ``Ideal`` drops zeros and
+    ``_syzygy_cofactors`` refuses f = 0.
 
     ``base`` is the index of a basis that is already strong under
     ``order`` (an ``Ideal``'s reduced basis): its S-polynomials,
@@ -384,8 +385,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             sink(cof)
 
     pairs: List[Tuple] = []   # heap of (degree, -lcm, i, j)
-    alive: set = set()        # surviving (i, j) pairs
-    pair_T: Dict[Tuple[int, int], Tuple] = {}  # (i, j) -> (v, lcm monomial)
+    # the surviving pairs: (i, j) -> (v, lcm monomial)
+    pair_T: Dict[Tuple[int, int], Tuple] = {}
     ann_queue: List[int] = []
 
     def lead_val(entry) -> int:
@@ -400,7 +401,6 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         return (max(vals[i], vals[j]), pack(map(max, G[i].exp, G[j].exp)))
 
     def push_pair(i, j, T):
-        alive.add((i, j))
         pair_T[(i, j)] = T
         L = T[1]
         heapq.heappush(pairs, (L & low, -L, i, j))
@@ -420,11 +420,9 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
         if not is_zz:
             vn, lmn = vals[idx], entry.lm
             # drop old pairs whose lcm-term is properly covered by idx
-            for (i, j) in list(alive):
-                T = pair_T[(i, j)]
+            for (i, j), T in list(pair_T.items()):
                 if vn <= T[0] and not (T[1] - lmn) & guards \
                         and new_T[i] != T and new_T[j] != T:
-                    alive.discard((i, j))
                     del pair_T[(i, j)]
             # new pairs (i, idx), pruned by the M/F/B criteria: keep the
             # first of each term that no other term properly covers.  A
@@ -450,8 +448,6 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
 
     later = []
     for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
         # 0 packs the monomial 1
         cof = ({0: ring.one()} if i == len(gens) - 1 else {}) \
             if track else None
@@ -493,10 +489,8 @@ def _buchberger(gens: Sequence[Polynomial], ring, order,
             consider([(f.terms, a, 0)], [(f.cof, a, 0)])
             continue
         _, L, i, j = heapq.heappop(pairs)
-        if (i, j) not in alive:
+        if pair_T.pop((i, j), None) is None:
             continue
-        alive.discard((i, j))
-        del pair_T[(i, j)]
         processed += 1
         if processed > max_pairs:
             raise BudgetExceededError(f"pair count exceeds cap {max_pairs}")

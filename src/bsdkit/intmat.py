@@ -7,6 +7,9 @@ unimodular, so every identity below holds exactly over ZZ.  The Smith
 form pivots on the smallest entry, which keeps its transforms small.  It
 keeps only D and a log of its elementary operations; the transforms, or
 just the rows and columns a caller reads, are replayed from the log.
+The Smith form also gives kernels over GF(p) (kernel_mod_p), so the
+library's linear algebra is this Smith form and the Bareiss pass; the
+Hermite form serves only the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -258,6 +261,20 @@ def smith_transforms(D: Matrix, log: SmithLog
     return (transform_rows(log, list(range(n)), n),
             [list(r) for r in zip(*V_cols)],
             [list(r) for r in zip(*U_inv_cols)])
+
+
+def kernel_mod_p(A: Matrix, p: int) -> Matrix:
+    """A basis of {v : A·v = 0 mod p} for the integer matrix A with at
+    least one row and the prime p, each vector with entries in [0, p).
+
+    U and V of the Smith form U·A·V = D are unimodular, so invertible mod
+    p, and the kernel is V·ker(D mod p): the columns t of V with t past
+    the last row of D or p | d_t, which are independent mod p.
+    """
+    D, log = smith_normal_form(A)
+    m = len(A[0])
+    free = [t for t in range(m) if t >= len(D) or D[t][t] % p == 0]
+    return [[x % p for x in v] for v in _replay(log[1], free, m, False)]
 
 
 def invariant_factors(A: Matrix) -> List[int]:

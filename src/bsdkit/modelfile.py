@@ -273,18 +273,26 @@ def parse_prime_model(doc: dict) -> Tuple[PrimeModel,
                                          multiplicity=mult[cid]))
         except ValueError as exc:
             raise ModelMathError(str(exc))
+    # every order is taken on the charts' patch against their dx, so a
+    # differential must be written there, on dx
+    charted = {patch_of[c["component"]] for c in chart_blocks}
     diffs: List[DifferentialRep] = []
     for d in doc.get("differentials", []):
         pid = d["patch"]
         if pid not in patches:
             raise SchemaError(f"differential references missing patch "
                               f"{pid!r}")
+        if charted != {pid}:
+            raise SchemaError(
+                f"differential on patch {pid!r}, but the charted components "
+                f"are on {', '.join(map(repr, sorted(charted)))}")
+        if d.get("base", "dx") != "dx":
+            raise SchemaError(f"differential base {d['base']!r}: the charts' "
+                              "local generators are on dx")
         patch = patches[pid]
         diffs.append(DifferentialRep(
-            pid,
             _parse_poly(d["numerator"], patch.variables, "differential"),
-            _parse_poly(d["denominator"], patch.variables, "differential"),
-            d.get("base", "dx")))
+            _parse_poly(d["denominator"], patch.variables, "differential")))
     if len(diffs) != doc["genus"]:
         raise SchemaError(f"expected {doc['genus']} differentials, "
                           f"got {len(diffs)}")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .intmat import rank_det
+from .intmat import kernel_mod_p, rank_det
 from .poly import Polynomial, poly_gcd, exact_divide
-from .rings import CoefficientRing, mat_kernel
+from .rings import CoefficientRing
 from .vanishing import (ComponentLocus, FunctionVanishesOnCurve,
                         multiplicity_of_component, rational_function_order)
 
@@ -198,31 +198,26 @@ def convert_differential(f: Polynomial, g: Polynomial
 
 @dataclass
 class DifferentialRep:
-    """omega = (numerator/denominator) * d on a patch, d the local
-    generator; base records which coordinate differential d is built on."""
-    patch_id: str
+    """omega = (numerator/denominator) dx on the patch of the charts, in
+    its variables; a chart's local generator d = (d_num/d_den) dx turns
+    it into a function times d on that chart's component."""
     numerator: Polynomial
     denominator: Polynomial
-    base: str = "dx"
 
     def scaled_by_p(self, p: int) -> "DifferentialRep":
         """Multiply by p on the exact ZZ-level representation."""
         den = self.denominator
         q = _divide_content(den, p)
         if q is not None:
-            return DifferentialRep(self.patch_id, self.numerator, q,
-                                   self.base)
-        return DifferentialRep(
-            self.patch_id, self.numerator.scale(p), den, self.base)
+            return DifferentialRep(self.numerator, q)
+        return DifferentialRep(self.numerator.scale(p), den)
 
     def divided_by_p(self, p: int) -> "DifferentialRep":
         num = self.numerator
         q = _divide_content(num, p)
         if q is not None:
-            return DifferentialRep(self.patch_id, q, self.denominator,
-                                   self.base)
-        return DifferentialRep(self.patch_id, num,
-                               self.denominator.scale(p), self.base)
+            return DifferentialRep(q, self.denominator)
+        return DifferentialRep(num, self.denominator.scale(p))
 
 
 def _divide_content(f: Polynomial, p: int) -> Optional[Polynomial]:
@@ -289,8 +284,10 @@ def differential_order_on_component(w: DifferentialRep,
 
 def vanishing_subspace(charts: Sequence[ComponentChart],
                        diffs: Sequence[DifferentialRep]) -> List[List[int]]:
-    """Subspace V of GF(p)^g containing every (c_j) whose combination
-    Sum c_j omega_j vanishes on the whole fibre (containment only).
+    """A basis of a subspace V of GF(p)^g containing every (c_j) whose
+    combination Sum c_j omega_j vanishes on the whole fibre (containment
+    only): the kernel mod p of the values at the sample points, from one
+    Smith form (intmat.kernel_mod_p).
 
     Uses only sample points where no denominator vanishes; raises when no
     such point survives.
@@ -298,9 +295,7 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
     if not diffs:
         raise PeriodError("no differentials given")
     p = charts[0].locus.p
-    g = len(diffs)
     rows: List[List[int]] = []
-    usable = 0
     for chart in charts:
         for pt in chart.sample_points:
             K = pt.field
@@ -309,7 +304,6 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
                    ).change_ring(K).evaluate(pt.coords) for w in diffs]
             if any(K.is_zero(h) for h in hs):
                 continue
-            usable += 1
             cols = []
             for w, h in zip(diffs, hs):
                 f = (w.numerator * chart.generator_denominator
@@ -319,10 +313,10 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
                 v = tuple(v) if K.kind == "GFext" else (v,)
                 cols.append(v + (0,) * (K.k - len(v)))
             rows.extend(map(list, zip(*cols)))
-    if usable == 0:
+    if not rows:
         raise PeriodError("all sample points are killed by denominators; "
                           "fall back to the full per-component check")
-    return mat_kernel(CoefficientRing.GF(p), rows, g)
+    return kernel_mod_p(rows, p)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +342,14 @@ def _combination(diffs: Sequence[DifferentialRep],
                  coeffs: Sequence[int]) -> DifferentialRep:
     """Sum c_j * omega_j over the product of the denominators, exactly
     over ZZ: omega_j's cofactor is the product of the other ones."""
-    base = diffs[0]
+    f = diffs[0].numerator
     dens = [w.denominator for w in diffs]
-    num = Polynomial.zero(base.numerator.ring, base.numerator.variables,
-                          base.numerator.order)
+    num = Polynomial.zero(f.ring, f.variables, f.order)
     for j, (c, w) in enumerate(zip(coeffs, diffs)):
         if c:
             num = num + math.prod((d for i, d in enumerate(dens) if i != j),
                                   start=w.numerator.scale(c))
-    return DifferentialRep(base.patch_id, num,
-                           math.prod(dens[1:], start=dens[0]), base.base)
+    return DifferentialRep(num, math.prod(dens[1:], start=dens[0]))
 
 
 def neron_basis_adjust(model: PrimeModel,

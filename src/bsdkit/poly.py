@@ -12,6 +12,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .rings import CoefficientRing, up_gcd
 
 MAX_EXPONENT = 1 << 16
+# the deepest nesting of '(' and unary '-' the parser takes: each level is
+# a few Python frames, so this keeps a parse far from the interpreter's
+# recursion limit, and written polynomials nest a few levels deep
+MAX_PARSE_DEPTH = 100
 
 
 class PolynomialError(ValueError):
@@ -351,7 +355,11 @@ class Polynomial:
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
     term := factor ('*' factor)*; factor := base ('^' uint)?;
-    base := int | ident | '(' expr ')'."""
+    base := int | ident | '(' expr ')' | '-' base.
+
+    Every error is a ParseError at the current position: a PolynomialError
+    raised while building (an exponent overflow in a product) included.
+    """
 
     def __init__(self, text, ring, variables, order):
         self.text = text
@@ -359,6 +367,7 @@ class _Parser:
         self.ring = ring
         self.variables = tuple(variables)
         self.order = order
+        self.depth = 0
 
     def error(self, msg):
         raise ParseError(msg, self.pos)
@@ -377,7 +386,12 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except ParseError:
+            raise
+        except PolynomialError as exc:
+            self.error(str(exc))
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
@@ -427,18 +441,21 @@ class _Parser:
 
     def base(self) -> Polynomial:
         ch = self.peek()
-        if ch == "(":
+        if ch in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                self.error(f"nesting depth exceeds the cap {MAX_PARSE_DEPTH}")
             self.pos += 1
-            p = self.expr()
-            self.expect(")")
+            if ch == "(":
+                p = self.expr()
+                self.expect(")")
+            else:
+                p = -self.base()
+            self.depth -= 1
             return p
         if ch.isdigit():
             return Polynomial.constant(self.ring, self.variables, self.uint(),
                                        self.order)
-        if ch == "-":
-            self.pos += 1
-            p = self.base()
-            return -p
         if ch.isalpha():
             start = self.pos
             while (self.pos < len(self.text)

@@ -1,13 +1,12 @@
-"""Coefficient rings: ZZ, QQ, ZZ/p^e, GF(p) and GF(p^k), dense
-univariate polynomials over any of them, and Gauss-Jordan elimination of
-dense matrices over the fields among them.
+"""Coefficient rings: ZZ, QQ, ZZ/p^e, GF(p) and GF(p^k), and dense
+univariate polynomials over any of them.
 
 Elements are plain Python ints for ZZ, ZZ/p^e and GF(p), Fractions for
 QQ, and tuples of ints (coefficients of the generator polynomial, low
 degree first) for GF(p^k).  Rings are immutable and hashable; all element
 operations are pure functions on the ring object.  QQ serves the
-univariate and matrix layers only (number-field towers); the Groebner
-code rejects it.
+univariate layer only (number-field towers); the Groebner code rejects
+it.
 
 The univariate layer computes on plain numbers over ZZ, QQ, ZZ/p^e and
 GF(p), reducing by the integer modulus once per output coefficient;
@@ -284,55 +283,6 @@ def up_is_irreducible(R, f) -> bool:
         if up_gcd(R, up_sub(R, h, x), f) != one:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dense matrices over a field R: lists of rows of elements of R.
-
-
-def mat_rref(R, rows):
-    """Reduced row echelon form over the field R, by Gauss-Jordan
-    elimination: (nonzero reduced rows, pivot columns).  The form is
-    unique, so it does not depend on the pivot rule."""
-    sub, mul, inv = R.sub, R.mul, R.inv
-    A = [list(row) for row in rows]
-    ncols = len(A[0]) if A else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        # the pivot row is 0 left of c, so updates start at column c
-        s = inv(A[r][c])
-        top = [mul(s, x) for x in A[r][c:]]
-        A[r][c:] = top
-        for i, row in enumerate(A):
-            f = row[c]
-            if f and i != r:
-                row[c:] = [sub(x, mul(f, y)) for x, y in zip(row[c:], top)]
-        pivots.append(c)
-    return A[:len(pivots)], pivots
-
-
-def mat_kernel(R, rows, ncols: int):
-    """Basis of {v : A v = 0} for the matrix A over the field R with ncols
-    columns: one vector per free column c, in increasing order, with 1 at
-    c, 0 at the other free columns, and -A'[i][c] at the i-th pivot
-    column (A' the reduced form)."""
-    red, pivots = mat_rref(R, rows)
-    zero, one, neg = R.zero(), R.one(), R.neg
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        v = [zero] * ncols
-        v[c] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = neg(row[c])
-        basis.append(v)
-    return basis
 
 
 def _binomials_reducible(p: int, k: int) -> bool:

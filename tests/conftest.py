@@ -44,6 +44,33 @@ def const(c, ring=ZZ, variables=("x", "y"), order=GREVLEX):
     return Polynomial.constant(ring, variables, c, order)
 
 
+def mat_rref(R, rows):
+    """Reduced row echelon form over the field R, by Gauss-Jordan
+    elimination: (nonzero reduced rows, pivot columns).  The form is
+    unique, so it does not depend on the pivot rule; the tests use it as
+    the oracle of the fraction-free and Smith-form eliminations."""
+    sub, mul, inv = R.sub, R.mul, R.inv
+    A = [list(row) for row in rows]
+    ncols = len(A[0]) if A else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        # the pivot row is 0 left of c, so updates start at column c
+        s = inv(A[r][c])
+        top = [mul(s, x) for x in A[r][c:]]
+        A[r][c:] = top
+        for i, row in enumerate(A):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [sub(x, mul(f, y)) for x, y in zip(row[c:], top)]
+        pivots.append(c)
+    return A[:len(pivots)], pivots
+
+
 def sect31_locus(ring=ZZ):
     """The worked example: J=(y^2-x^2+2x+2), I=(x+y,2) at p=2."""
     J = Ideal([P("y^2 - x^2 + 2*x + 2", ring)])

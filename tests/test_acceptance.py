@@ -303,7 +303,7 @@ def test_criterion_8_subspace_soundness():
     # true vanishing set is nonempty and contained in V
     model2, diffs2 = _genus2()
     w_double = DifferentialRep(
-        "U", parse_polynomial("2", ZZ, vs, GREVLEX),
+        parse_polynomial("2", ZZ, vs, GREVLEX),
         parse_polynomial("1", ZZ, vs, GREVLEX))
     cases = [
         (model2, diffs2),
@@ -319,7 +319,7 @@ def test_criterion_8_subspace_soundness():
     # strict containment: x^2 + x vanishes at both F_2 sample points but
     # not on the fibre, so V strictly contains the truth
     w_xx = DifferentialRep(
-        "U", parse_polynomial("x^2 + x", ZZ, vs, GREVLEX),
+        parse_polynomial("x^2 + x", ZZ, vs, GREVLEX),
         parse_polynomial("1", ZZ, vs, GREVLEX))
     diffs_strict = [diffs2[0], w_xx]
     V = vanishing_subspace(model2.charts, diffs_strict)
@@ -334,9 +334,9 @@ def test_criterion_8_subspace_soundness():
     # p = 3 fixture with x^2 - x (vanishes at the sample x-values 0, 1)
     model3 = _p3_model()
     one = parse_polynomial("1", ZZ, vs, GREVLEX)
-    d1 = DifferentialRep("U", one, one)
+    d1 = DifferentialRep(one, one)
     w3 = DifferentialRep(
-        "U", parse_polynomial("x^2 - x", ZZ, vs, GREVLEX), one)
+        parse_polynomial("x^2 - x", ZZ, vs, GREVLEX), one)
     diffs3 = [d1, w3]
     V3 = vanishing_subspace(model3.charts, diffs3)
     truth3 = _full_check_set(model3, diffs3)
@@ -345,6 +345,45 @@ def test_criterion_8_subspace_soundness():
     span3 = _nonzero_span(V3, 3, 2)
     assert len(span3) > len(truth3)  # strict at p = 3 too
     assert strict_seen
+
+
+def _w_p_both_orders(monkeypatch, model, diffs):
+    """W_p and the final basis with step 6 trying its combinations in
+    _nonzero_span's order, then in the reverse order."""
+    import bsdkit.periods as periods
+    nonzero_span = periods._nonzero_span
+    out = []
+    for step in (1, -1):
+        monkeypatch.setattr(periods, "_nonzero_span",
+                            lambda *a: nonzero_span(*a)[::step])
+        res = neron_basis_adjust(model, diffs)
+        out.append((res.W_p, [w.numerator for w in res.diffs]))
+    return out
+
+
+@pytest.mark.parametrize("case", ["p3", "genus2_p2_scaled"])
+def test_criterion_8_w_p_does_not_depend_on_the_order_of_combinations(
+        monkeypatch, case):
+    # step 6 divides out the first vanishing combination it tries; another
+    # order may pick another combination and end with another basis, but
+    # W_p is the index of a lattice, so it must not move
+    if case == "p3":
+        model = _p3_model()
+        three, one = const(3), const(1)
+        runs = [([DifferentialRep(three, one),
+                  DifferentialRep(P("3*x^2 - 3*x"), one)], Fraction(1, 9)),
+                ([DifferentialRep(P("x"), one),
+                  DifferentialRep(three, one)], Fraction(1, 3))]
+    else:
+        model, diffs = parse_prime_model(
+            load_model(fixture_path("genus2_p2_scaled.json")))
+        runs = [(diffs, Fraction(1, 4))]
+    for diffs, want in runs:
+        (w_fwd, fwd), (w_rev, rev) = _w_p_both_orders(monkeypatch, model,
+                                                      diffs)
+        assert w_fwd == w_rev == want
+        if case == "p3":
+            assert fwd != rev       # the reversed order took another path
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,41 @@ class TestPeriod:
         assert code == 3 and out == ""
         assert "1280 exceeds the cap 256" in err
 
+    @pytest.mark.parametrize("variables, numerator", [
+        (["u", "v"], "u"),      # other names: the charts' cannot read it
+        (["x", "y"], "x")])     # the same names on another patch
+    def test_differential_off_the_charts_patch_exit2(
+            self, tmp_path, capsys, variables, numerator):
+        with open(fixture_path("genus2_p2.json")) as fh:
+            doc = json.load(fh)
+        doc["patches"].append({"id": "V", "variables": variables,
+                               "equations": [f"{numerator}^2 - 1"]})
+        doc["differentials"][1] = {"patch": "V", "numerator": numerator,
+                                   "denominator": "1"}
+        path = tmp_path / "offpatch.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                             fixture_path("matrix_g2.json"))
+        assert (code, out) == (2, "")
+        assert err == ("error: differential on patch 'V', but the charted "
+                       "components are on 'U'\n")
+
+    @pytest.mark.parametrize("base", ["dy", "dz"])
+    def test_differential_base_other_than_dx_exit2(self, tmp_path, capsys,
+                                                   base):
+        # the charts' local generators are on dx; another base was read as
+        # dx before, so genus2_p2_scaled printed W_2 = 1/4 either way
+        with open(fixture_path("genus2_p2_scaled.json")) as fh:
+            doc = json.load(fh)
+        doc["differentials"][0]["base"] = base
+        path = tmp_path / f"{base}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                             fixture_path("matrix_g2.json"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: differential base '{base}': the charts' "
+                       "local generators are on dx\n")
+
     def test_repeated_prime_exit2(self, capsys):
         scaled = fixture_path("genus2_p2_scaled.json")
         code, out, err = run(capsys, "period", scaled, scaled,
@@ -333,6 +368,46 @@ class TestGb:
         code, out, _ = run(capsys, "gb", "--vars", "x", "--ring", "ZZ",
                            "x + + 1")
         assert code == 2 and out == ""
+
+
+# ---------------------------------------------------------------------------
+# the polynomial parser refuses deep nesting and exponent overflow with a
+# ParseError on every route: exit 2, one line on stderr
+
+TOO_DEEP = ["(" * 1200 + "x" + ")" * 1200, "x*" + "-" * 1200 + "x",
+            "(" * 3000 + "x" + ")" * 3000]
+OVERFLOW = "x^40000*x^40000"
+PARSE_LIMITS = [(text, "nesting depth exceeds the cap 100")
+                for text in TOO_DEEP] + [(OVERFLOW, "exponent overflow in")]
+
+
+def _refused_in_one_line(code, out, err, message):
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", PARSE_LIMITS,
+                         ids=["parens", "minus", "parens3000", "overflow"])
+def test_parse_limit_function_exit2(capsys, text, message):
+    _refused_in_one_line(*run(capsys, "vanishing-order",
+                              fixture_path("sect31.json"), "--component",
+                              "D0", "--function", text), message)
+
+
+@pytest.mark.parametrize("text, message", PARSE_LIMITS,
+                         ids=["parens", "minus", "parens3000", "overflow"])
+def test_parse_limit_gb_exit2(capsys, text, message):
+    _refused_in_one_line(*run(capsys, "gb", "--vars", "x,y", text), message)
+
+
+@pytest.mark.parametrize("text, message", PARSE_LIMITS,
+                         ids=["parens", "minus", "parens3000", "overflow"])
+def test_parse_limit_model_equation_exit2(tmp_path, capsys, text, message):
+    bad = _malformed(tmp_path, "sect31.json", ("patches", 0, "equations", 0),
+                     text)
+    _refused_in_one_line(*run(capsys, "vanishing-order", bad, "--component",
+                              "D0", "--function", "2"), message)
 
 
 # ---------------------------------------------------------------------------

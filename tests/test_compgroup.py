@@ -25,9 +25,10 @@ from bsdkit.intmat import (hermite_normal_form, identity, invariant_factors,
                            solve_integer_matrix, solve_rational,
                            transform_rows)
 from bsdkit.modelfile import load_model, parse_fibre
-from bsdkit.rings import QQ, mat_rref
+from bsdkit.rings import QQ
 
-from conftest import criterion4_corpus, criterion5_fibres, fixture_path
+from conftest import (criterion4_corpus, criterion5_fibres, fixture_path,
+                      mat_rref)
 
 
 def cycle_fibre(n, p=7, rot=0, mults=None):

@@ -17,9 +17,9 @@ from bsdkit.fieldtower import (FieldTower, FieldTowerError, _compose_mod,
                                optimise_discriminant, resultant,
                                subfield_property_check)
 from bsdkit.intmat import rank_det
-from bsdkit.rings import (QQ, ZZ, CoefficientRing, mat_rref, up, up_add,
+from bsdkit.rings import (QQ, ZZ, CoefficientRing, up, up_add,
                           up_is_irreducible, up_mod, up_mul, up_scale, up_sub)
-from conftest import alarm
+from conftest import alarm, mat_rref
 
 uq = partial(up, QQ)
 
@@ -86,8 +86,7 @@ def fraction_minimal_polynomial(alg, theta):
         cols.append(coords(cur))
         cur = _fraction_mul(f1, H, cur, theta)
     x = [up_mod(QQ, uq((0, 1)), f1)] + [()] * (ell - 1)
-    y = ([up_mod(QQ, up_scale(QQ, H[0], -1), f1)] if ell == 1
-         else [(), uq((1,))] + [()] * (ell - 2))
+    y = [(), uq((1,))] + [()] * (ell - 2)
     cols += [coords(cur), coords(x), coords(y)]
     red, pivots = mat_rref(QQ, [list(row) for row in zip(*cols)])
     if pivots[:N] != list(range(N)):

@@ -212,14 +212,14 @@ class TestDifferentialOrder:
     def test_generator_itself(self):
         model, diffs = genus2_model()
         chart = model.charts[0]
-        d = DifferentialRep("U", chart.generator_numerator,
+        d = DifferentialRep(chart.generator_numerator,
                             chart.generator_denominator)
         assert differential_order_on_component(d, chart) == 0
 
     def test_p_times_generator(self):
         model, diffs = genus2_model()
         chart = model.charts[0]
-        d = DifferentialRep("U", chart.generator_numerator.scale(2),
+        d = DifferentialRep(chart.generator_numerator.scale(2),
                             chart.generator_denominator)
         assert differential_order_on_component(d, chart) == \
             chart.get_multiplicity()
@@ -227,7 +227,7 @@ class TestDifferentialOrder:
     def test_generator_over_p(self):
         model, diffs = genus2_model()
         chart = model.charts[0]
-        d = DifferentialRep("U", chart.generator_numerator,
+        d = DifferentialRep(chart.generator_numerator,
                             chart.generator_denominator.scale(2))
         assert differential_order_on_component(d, chart) == \
             -chart.get_multiplicity()
@@ -278,7 +278,7 @@ class TestVanishingSubspace:
         # but not on the whole fibre: V is strictly larger than the true
         # vanishing set, demonstrating why the full check is needed
         model, diffs = genus2_model()
-        w2 = DifferentialRep("U", pxy("x^2 + x"), pxy("1"))
+        w2 = DifferentialRep(pxy("x^2 + x"), pxy("1"))
         V = vanishing_subspace(model.charts, [diffs[0], w2])
         assert any(v[1] % 2 == 1 for v in V)  # e2 (or e1+e2) is in V
         # ... but the full check rejects it: x^2+x has order 0 on D0

@@ -1,5 +1,6 @@
-"""rings matrix layer: Gauss-Jordan reduced row echelon form and kernels
-over GF(p), GF(p^k) and QQ, against brute force and sympy."""
+"""Kernels over GF(p) from the Smith form (intmat.kernel_mod_p) against
+brute force, and the tests' Gauss-Jordan oracle (conftest.mat_rref) over
+GF(p), GF(p^k) and QQ against sympy."""
 
 import itertools
 import random
@@ -7,11 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from bsdkit.rings import QQ, CoefficientRing, mat_kernel, mat_rref, up
+from bsdkit.intmat import kernel_mod_p
+from bsdkit.periods import _nonzero_span
+from bsdkit.rings import QQ, CoefficientRing, up
+from conftest import mat_rref
 
 
-def random_matrix(rng, elements):
-    rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+def random_matrix(rng, elements, min_rows=0):
+    rows, cols = rng.randint(min_rows, 4), rng.randint(1, 4)
     return [[rng.choice(elements) for _ in range(cols)]
             for _ in range(rows)], cols
 
@@ -42,26 +46,46 @@ def field_elements(R):
     return [R.coerce(c) for c in itertools.product(range(R.p), repeat=R.k)]
 
 
-@pytest.mark.parametrize("q", [(2, 1), (3, 1), (5, 1), (2, 2)],
+@pytest.mark.parametrize("q", [(2, 1), (3, 1), (5, 1), (7, 1)],
                          ids=lambda q: f"GF({q[0]}^{q[1]})")
 def test_kernel_is_the_solution_set(q):
     R = CoefficientRing.GF(*q)
+    p = R.p
     elements = field_elements(R)
     rng = random.Random(f"kernel {q}")
     for _ in range(30):
-        rows, ncols = random_matrix(rng, elements)
+        rows, ncols = random_matrix(rng, elements, min_rows=1)
         zero = [R.zero()] * len(rows)
         solutions = {v for v in itertools.product(elements, repeat=ncols)
                      if apply(R, rows, v) == zero}
-        basis = mat_kernel(R, rows, ncols)
-        assert span(R, basis, elements, ncols) == solutions
-        assert len(solutions) == len(elements) ** len(basis)
+        # the Smith form runs over ZZ: lifts other than [0, p) give the
+        # same kernel
+        for A in (rows, [[x + p * rng.randint(-3, 3) for x in row]
+                         for row in rows]):
+            basis = kernel_mod_p(A, p)
+            assert all(0 <= x < p for v in basis for x in v)
+            assert span(R, basis, elements, ncols) == solutions
+            assert len(solutions) == len(elements) ** len(basis)
 
 
 def test_kernel_of_empty_matrix():
-    F = CoefficientRing.GF(3)
-    assert mat_kernel(F, [], 2) == [[1, 0], [0, 1]]
-    assert mat_rref(F, []) == ([], [])
+    assert kernel_mod_p([[]], 3) == []
+    assert kernel_mod_p([[0, 0]], 3) == [[1, 0], [0, 1]]
+    assert mat_rref(CoefficientRing.GF(3), []) == ([], [])
+
+
+def test_kernel_order_differs_from_rref():
+    # ker (0 0 1) mod 2 is one plane from both eliminations, but RREF
+    # gives e1, e2 (1 at each free column in turn) and the Smith form,
+    # whose first pivot is column 3, gives the columns e2, e1 of V; step 6
+    # then lists the plane's nonzero vectors in another order
+    F = CoefficientRing.GF(2)
+    assert mat_rref(F, [[0, 0, 1]]) == ([[0, 0, 1]], [2])
+    rref_basis = [[1, 0, 0], [0, 1, 0]]
+    smith_basis = kernel_mod_p([[0, 0, 1]], 2)
+    assert smith_basis == [[0, 1, 0], [1, 0, 0]]
+    assert span(F, smith_basis, [0, 1], 3) == span(F, rref_basis, [0, 1], 3)
+    assert _nonzero_span(smith_basis, 2, 3) != _nonzero_span(rref_basis, 2, 3)
 
 
 def test_rref_shape():
