@@ -29,7 +29,7 @@ from .periods import (DEFAULT_TOL, PeriodError, RepeatedPrimeError,
                       period_pipeline)
 from .poly import MonomialOrder, ParseError, parse_polynomial
 from .rings import CoefficientRing, RingError, ZZ, is_prime
-from .vanishing import (VanishingError, _truncated_order,
+from .vanishing import (MAX_ORDER_BUDGET, VanishingError, _truncated_order,
                         vanishing_order_truncated)
 
 EXIT_OK = 0
@@ -81,6 +81,9 @@ def cmd_vanishing_order(args) -> int:
                         ("--truncate", args.truncate)):
         if value is not None and value < 1:
             raise CliSchemaError(f"{flag} must be at least 1, got {value}")
+        if value is not None and value > MAX_ORDER_BUDGET:
+            raise CliSchemaError(f"{flag} {value} exceeds the cap "
+                                 f"{MAX_ORDER_BUDGET}")
     doc = load_model(args.model)
     locus = component_locus(doc, args.component)
     try:

@@ -73,48 +73,69 @@ MATRIX_SHAPE = {"genus": 1, "period_matrix": _PERIOD_MATRIX,
                 "real_components": 1}
 
 
-def _check(value, shape, where: str) -> None:
-    """SchemaError naming the JSON path of the first value off its shape."""
+class _OffShape(Exception):
+    """A value off its shape: the message after its JSON path, and the
+    path's segments, innermost first, gathered on the way up."""
+
+    def __init__(self, tail: str):
+        super().__init__(tail)
+        self.path: List[str] = []
+
+
+def _check(value, shape) -> None:
+    """_OffShape for the first value off its shape; a path is built only
+    for that value."""
     if isinstance(shape, tuple):
         shape = shape[type(value) is list]
     if shape is str:
         if type(value) is not str:
-            raise SchemaError(f"{where} must be a string")
+            raise _OffShape(" must be a string")
     elif shape is int or type(shape) is int:
         if type(value) is not int or shape is not int and value < shape:
             bound = "" if shape is int else f" >= {shape}"
-            raise SchemaError(f"{where} must be an integer{bound}")
+            raise _OffShape(f" must be an integer{bound}")
     elif isinstance(shape, set):
         if type(value) is not str or value not in shape:
-            raise SchemaError(f"{where} must be one of "
-                              f"{', '.join(sorted(shape))}")
+            raise _OffShape(f" must be one of {', '.join(sorted(shape))}")
     elif isinstance(shape, list):
         item, lo, hi = (shape + [None, None])[:3]
         if type(value) is not list:
-            raise SchemaError(f"{where} must be a list")
+            raise _OffShape(" must be a list")
         if len(value) < (lo or 0) or hi is not None and len(value) > hi:
             length = f">= {lo}" if hi is None else (
                 lo if lo == hi else f"{lo}..{hi}")
-            raise SchemaError(f"{where} must have length {length}")
-        if item in (int, str) and all(type(x) is item for x in value):
-            return                      # the common case, without paths
-        for i, x in enumerate(value):
-            _check(x, item, f"{where}[{i}]")
+            raise _OffShape(f" must have length {length}")
+        if item in (int, str) and {*map(type, value)} <= {item}:
+            return                      # the common case, in one pass
+        try:
+            for i, x in enumerate(value):
+                _check(x, item)
+        except _OffShape as off:
+            off.path.append(f"[{i}]")
+            raise
     elif type(value) is not dict:
-        raise SchemaError(f"{where} must be an object")
+        raise _OffShape(" must be an object")
     elif str in shape:
-        for key, x in value.items():
-            _check(x, shape[str], f"{where}.{key}")
+        try:
+            for key, x in value.items():
+                _check(x, shape[str])
+        except _OffShape as off:
+            off.path.append(f".{key}")
+            raise
     else:
-        keys = {k.rstrip("?"): k for k in shape}
-        for key in value:
-            if key not in keys:
-                raise SchemaError(f"{where}.{key} is not a known key")
-        for key, k in keys.items():
+        for key in value:       # known as k, or as k? if optional
+            if key[-1:] == "?" or key not in shape and key + "?" not in shape:
+                raise _OffShape(f".{key} is not a known key")
+        for k, s in shape.items():
+            key = k[:-1] if k[-1] == "?" else k
             if key in value:
-                _check(value[key], shape[k], f"{where}.{key}")
-            elif k == key:
-                raise SchemaError(f"{where}.{key} is missing")
+                try:
+                    _check(value[key], s)
+                except _OffShape as off:
+                    off.path.append(f".{key}")
+                    raise
+            elif key == k:
+                raise _OffShape(f".{key} is missing")
 
 
 def _load(path: str, kind: str, shape) -> dict:
@@ -123,7 +144,11 @@ def _load(path: str, kind: str, shape) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read {kind} file {path}: {exc}")
-    _check(doc, shape, f"{kind} file {path}")
+    try:
+        _check(doc, shape)
+    except _OffShape as off:
+        raise SchemaError(f"{kind} file {path}{''.join(reversed(off.path))}"
+                          f"{off.args[0]}") from None
     return doc
 
 

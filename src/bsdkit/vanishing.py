@@ -16,15 +16,20 @@ run on one kept truncation of the locus to ZZ/p^e, where the Groebner work
 stays small.  By the truncation proposition an order n computed there is
 exact when n <= e*m - 2, m the multiplicity; m is computed on the same ring
 and kept, and e doubles until the answer is exact or reaches the threshold.
-The chain over ZZ itself (``vanishing_order`` on a ZZ locus) serves only as
-the tests' oracle.  Each exact order (``_exact_order``) is kept on the
-locus, so a repeated query runs no quotient test.
+The locus is prime with a regular local ring, so ord_D is a valuation: f
+splits into p^a, the monomial x^alpha and the rest u, and its order is the
+sum of theirs, each asked on the same ring.  A chain then runs only as deep
+as the largest factor order, not as deep as ord(f).  The chain over ZZ
+itself (``vanishing_order`` on a ZZ locus) serves only as the tests'
+oracle.  Each exact order (``_exact_order``) is kept on the locus, so a
+repeated query runs no quotient test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import sub
 from typing import Dict, List, Optional
 
 from .groebner import (Ideal, _reduce, _syzygy_cofactors,
@@ -33,6 +38,9 @@ from .poly import Polynomial
 from .rings import CoefficientRing
 
 DEFAULT_ORDER_BUDGET = 64
+# the largest threshold the CLI accepts (--budget, --truncate R): R sets
+# the ring ZZ/p^(floor(R/m)+1) before any work
+MAX_ORDER_BUDGET = 1024
 # e of the first truncation ZZ/p^e of a ZZ locus: its exact range e*m - 2
 # covers order 2m, so 2*z at m = 4 (order 8) needs no second ring
 TRUNCATION_START = 3
@@ -167,14 +175,19 @@ def _chain_step(locus: ComponentLocus, mode: str, n: int) -> Ideal:
     return chain[n - 1]
 
 
+def _in_curve(f: Polynomial, locus: ComponentLocus) -> bool:
+    """Whether f is 0 or lies in J."""
+    return f.is_zero() or (not locus.J.is_zero()
+                           and ideal_membership(f, locus.J))
+
+
 def vanishing_order(f: Polynomial, locus: ComponentLocus,
                     mode: str = "modified",
                     budget: int = DEFAULT_ORDER_BUDGET) -> VanishingOrder:
     """Largest n <= budget with f in I^n localized along the component."""
     if mode not in _STEPS:
         raise VanishingError(f"unknown mode {mode!r}")
-    if f.is_zero() or (not locus.J.is_zero()
-                       and ideal_membership(f, locus.J)):
+    if _in_curve(f, locus):
         raise FunctionVanishesOnCurve()
     for n in range(1, budget + 1):
         if not _quotient_outside(_chain_step(locus, mode, n), f, locus.I):
@@ -186,10 +199,12 @@ def vanishing_order_truncated(f: Polynomial, locus: ComponentLocus,
                               r: int, m: int,
                               mode: str = "modified") -> VanishingOrder:
     """ord_D(f) if below the threshold r, else (r, exact=False), from
-    ZZ/p^(floor(r/m)+1) on: ``_truncated_order`` with m taken as given.
+    ZZ/p^(floor(r/m)+1) on: ``_truncated_order`` with m taken as given, so
+    each factor of f is asked on that ring.
 
     A smaller m than the true multiplicity only costs a bigger ring; a
-    larger one can give a wrong answer.
+    larger one can give a wrong answer where a factor of f has an order
+    above e*m - 2 for the true m.
     """
     if r < 1:
         raise VanishingError("threshold r must be >= 1")
@@ -211,6 +226,25 @@ def multiplicity_of_component(locus: ComponentLocus) -> int:
     return _exact_order(_p_const(locus), locus)
 
 
+def _factors(f: Polynomial, p_const: Polynomial, p: int) -> list:
+    """f = p^a * x^alpha * u as [(g, k)]: p with its exponent a in f's
+    content, each variable with the least exponent it has over f's terms,
+    then u with exponent 1.  A nonzero exponent only, and u only when it
+    is not a constant: any constant prime to p stays in u, a unit."""
+    a, c = 0, gcd(*f.terms.values())
+    while c % p == 0:
+        a, c = a + 1, c // p
+    alpha = tuple(map(min, zip(*f.terms)))
+    q = p ** a
+    u = Polynomial(f.ring, f.variables, {
+        tuple(map(sub, x, alpha)): y // q for x, y in f.terms.items()},
+        f.order)
+    return ([(p_const, a)] if a else []) + [
+        (Polynomial.variable(f.ring, f.variables, v, f.order), k)
+        for v, k in zip(f.variables, alpha) if k] + (
+        [] if u.is_constant() else [(u, 1)])
+
+
 def _truncated_order(f: Polynomial, locus: ComponentLocus,
                      budget: int = DEFAULT_ORDER_BUDGET,
                      mode: str = "modified", e: Optional[int] = None,
@@ -220,37 +254,52 @@ def _truncated_order(f: Polynomial, locus: ComponentLocus,
     at TRUNCATION_START or the kept ring, and doubles until e*m - 1 reaches
     the budget.
 
+    ord_D is a valuation, so f = p^a * x^alpha * u (``_factors``) has order
+    a*ord(p) + sum alpha_i*ord(x_i) + ord(u).  Unless f is 0 or in J over
+    ZZ/p^e, each factor g of exponent k is asked through this loop, on the
+    kept ring, with budget ceil((budget - sum so far)/k), and the orders
+    add up; the chain runs only as deep as the largest factor order.  An f
+    that is 0 or in J over ZZ/p^e is asked whole, and splits once the
+    order of p is known.
+
     An answer n over ZZ/p^e is exact when n <= e*m - 2, so each ring is
     asked with budget min(e*m - 1, budget).  Without a given m the first
     ask takes m = 1; if it is not exact, the true m is computed on that
     ring as the order of p (exact for e >= 2) and kept as
-    ``locus._orders[p]``.  Only that m splits off the p-content:
-    ord(p^a * u) = a*m + ord(u).  An f that is 0 or in J over ZZ/p^e has
-    order >= e*m unless it lies in J over ZZ.
+    ``locus._orders[p]``, where each exact factor order computed without a
+    given m is kept too.  An f that is 0 or in J over ZZ/p^e has order
+    >= e*m unless it lies in J over ZZ.
     """
     if f.is_zero():
         raise FunctionVanishesOnCurve()
-    p_const, p = _p_const(locus), locus.p
-    a, c = 0, gcd(*f.terms.values())
-    while c % p == 0:
-        a, c = a + 1, c // p
+    p_const = _p_const(locus)
+    factors = _factors(f, p_const, locus.p)
+    split = factors != [(f, 1)]
     e = e or max([TRUNCATION_START, *locus._truncated])
     while True:
         known = locus._orders.get(p_const)
-        if a and known:
-            if a * known < budget:
-                u = Polynomial(f.ring, f.variables, {
-                    x: y // p ** a for x, y in f.terms.items()}, f.order)
-                res = _truncated_order(u, locus, budget - a * known, mode,
-                                       e, m)
-                return VanishingOrder(a * known + res.order, res.exact)
-            if ideal_membership(f, locus.J):
-                raise FunctionVanishesOnCurve()
-            return VanishingOrder(budget, exact=False)
         T = locus.truncated(e)
+        fT = f.change_ring(T.ring)
+        vanishes = split and _in_curve(fT, T)
+        if split and (known or not vanishes):
+            if vanishes and ideal_membership(f, locus.J):
+                raise FunctionVanishesOnCurve()
+            total = 0
+            for g, k in factors:
+                order = locus._orders.get(g)
+                if order is None:
+                    res = _truncated_order(g, locus, -((total - budget) // k),
+                                           mode, max(locus._truncated), m)
+                    order = res.order
+                    if res.exact and m is None:
+                        locus._orders[g] = order
+                total += k * order
+                if total >= budget:
+                    return VanishingOrder(budget, exact=False)
+            return VanishingOrder(total, exact=True)
         cap = min(e * (m or known or 1) - 1, budget)
         try:
-            res = vanishing_order(f.change_ring(T.ring), T, mode, cap)
+            res = vanishing_order(fT, T, mode, cap)
         except FunctionVanishesOnCurve:
             if ideal_membership(f, locus.J):
                 raise
@@ -261,7 +310,7 @@ def _truncated_order(f: Polynomial, locus: ComponentLocus,
             return VanishingOrder(budget, exact=False)
         if not (m or known):
             known = locus._orders[p_const] = multiplicity_of_component(T)
-            if known > 1 or a:      # a larger cap, or the p-content splits
+            if known > 1 or split:      # a larger cap, or f splits
                 continue
         e *= 2
 

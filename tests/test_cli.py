@@ -9,6 +9,7 @@ import pytest
 
 import bsdkit
 from bsdkit.cli import build_parser, main
+from bsdkit.vanishing import MAX_ORDER_BUDGET
 
 from conftest import alarm, fixture_path
 
@@ -73,6 +74,21 @@ class TestTamagawa:
 # ---------------------------------------------------------------------------
 # vanishing-order
 
+# y^8 - x^8 + 2x + 2, xz = 2: D0 has multiplicity 8
+C2_K8 = {
+    "p": 2,
+    "patches": [{"id": "U", "variables": ["x", "y", "z"],
+                 "equations": ["y^8 - x^8 + 2*x + 2", "x*z - 2"]}],
+    "special_fibre": {
+        "components": [{"id": "D0", "patch": "U",
+                        "prime_ideal": ["x + y", "z", "2"],
+                        "multiplicity": 8}],
+        "intersections": [[0]],
+        "frobenius": {"D0": "D0"},
+    },
+}
+
+
 class TestVanishingOrder:
     def test_paper_example(self, capsys):
         doc = run_json(capsys, "vanishing-order",
@@ -132,20 +148,8 @@ class TestVanishingOrder:
     def test_truncated_ring_kills_function(self, tmp_path, capsys):
         # y^8 - x^8 + 2x + 2, xz = 2: D0 has multiplicity 8, so ord(4) = 16;
         # --truncate 9 runs over ZZ/2^2, where 4 = 0
-        model = {
-            "p": 2,
-            "patches": [{"id": "U", "variables": ["x", "y", "z"],
-                         "equations": ["y^8 - x^8 + 2*x + 2", "x*z - 2"]}],
-            "special_fibre": {
-                "components": [{"id": "D0", "patch": "U",
-                                "prime_ideal": ["x + y", "z", "2"],
-                                "multiplicity": 8}],
-                "intersections": [[0]],
-                "frobenius": {"D0": "D0"},
-            },
-        }
         path = tmp_path / "c2_k8.json"
-        path.write_text(json.dumps(model))
+        path.write_text(json.dumps(C2_K8))
         doc = run_json(capsys, "vanishing-order", str(path),
                        "--component", "D0", "--function", "4",
                        "--truncate", "9")
@@ -503,6 +507,30 @@ def test_bad_numeric_flag_exit2(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("flag", ["--truncate", "--budget"])
+def test_threshold_above_cap_exits_before_the_model_loads(
+        monkeypatch, capsys, tmp_path, flag):
+    # --truncate R picks ZZ/2^(floor(R/8)+1) on this model; R = 10^8 ran
+    # for more than 20 s before the cap
+    path = tmp_path / "c2_k8.json"
+    path.write_text(json.dumps(C2_K8))
+    argv = ["vanishing-order", str(path), "--component", "D0",
+            "--function", "x+y", flag]
+
+    def refuse(path):
+        raise AssertionError("the model was loaded")
+
+    monkeypatch.setattr(bsdkit.cli, "load_model", refuse)
+    with alarm(10):
+        code, out, err = run(capsys, *argv, "100000000")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag} 100000000 exceeds the cap "
+                   f"{MAX_ORDER_BUDGET}\n")
+    monkeypatch.undo()
+    assert run_json(capsys, *argv, str(MAX_ORDER_BUDGET)) == {
+        "order": 1, "exact": True}
 
 
 def test_tol_zero_answers(capsys):

@@ -497,6 +497,102 @@ def test_p_content_orders_match_zz_chain(name):
     assert not loc._chains
 
 
+# ---------------------------------------------------------------------------
+# f = p^a * x^alpha * u: the orders of its factors, added up
+
+
+def split_functions(loc, rng, count):
+    """Random unit * p^a * x^alpha * (x + y)^c with a unit constant prime to
+    p; a + (the exponent of z) <= 2 keeps the oracle's chain short."""
+    for _ in range(count):
+        a = rng.randint(0, 2)
+        mono = [f"{v}^{rng.randint(0, 2 - a if v == 'z' else 2)}"
+                for v in loc.I.variables]
+        unit = rng.choice([1, -1, 3, -5, 7])
+        yield zz_poly(f"{unit} * {loc.p}^{a} * {' * '.join(mono)}"
+                      f" * (x + y)^{rng.randint(0, 2)}", loc)
+
+
+@pytest.mark.parametrize("name", ORACLE_LOCI)
+def test_split_orders_match_zz_chain(name):
+    make = ORACLE_LOCI[name]
+    loc, oracle = make(), make()
+    one = zz_poly("1", loc)
+    m = multiplicity_of_component(oracle)
+    rng = random.Random(45)
+    for f in split_functions(loc, rng, 5):
+        want = vanishing_order(f, oracle)
+        assert want.exact
+        n = want.order
+        assert rational_function_order(f, one, loc) == n
+        for r in (n - 1, n, n + 1):
+            if r >= 1:
+                assert vanishing_order_truncated(f, make(), r, m) == \
+                    vanishing.VanishingOrder(min(n, r), r > n)
+    # u in J: f lies in J over ZZ, on the warm locus (m known, f splits)
+    # and on a fresh one
+    g = loc.J.generators[-1]
+    f = zz_poly(f"-3 * {loc.p} * x^2", loc) * g
+    for ask in (lambda: rational_function_order(f, one, loc),
+                lambda: vanishing_order_truncated(f, make(), 5, m)):
+        with pytest.raises(FunctionVanishesOnCurve):
+            ask()
+    assert not loc._chains
+
+
+def c2_model_file(tmp_path, k, m):
+    """The criterion-2 model of ``c2_z_model`` with D0 declared of
+    multiplicity m."""
+    doc = c2_z_model(k)
+    doc["special_fibre"]["components"][0]["multiplicity"] = m
+    path = tmp_path / f"c2_k{k}_m{m}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("k, m, f, r, answer, built", [
+    (100, 4, "z^3", 70, {"order": 12, "exact": True}, 4),
+    (8, 8, "4", 9, {"order": 9, "exact": False}, 0),
+], ids=["z-cubed-k100", "truncation-fault"])
+def test_truncated_cli_steps(monkeypatch, capsys, tmp_path, k, m, f, r,
+                             answer, built):
+    # ord(z) = 4 needs I_2..I_5; 4 is 0 over ZZ/2^2 and asks no chain
+    steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
+    assert main(["vanishing-order", c2_model_file(tmp_path, k, m),
+                 "--component", "D0", "--function", f,
+                 "--truncate", str(r)]) == 0
+    assert json.loads(capsys.readouterr().out) == answer
+    assert len(steps) == built
+
+
+def test_factors_share_one_truncation(monkeypatch):
+    # 2 * z^3 * (x + y)^4 on k = 100: orders 4 + 3*4 + 4, each factor over
+    # the one ring ZZ/2^18 that r = 70 picks, to the depth of the largest
+    steps = count_calls(monkeypatch, vanishing, "ideal_sum_product")
+    rings = count_calls(monkeypatch, ComponentLocus, "change_ring")
+    loc = c2_locus(100)
+    f = zz_poly("2 * z^3 * (x + y)^4", loc)
+    res = vanishing_order_truncated(f, loc, r=70, m=4)
+    assert res == vanishing.VanishingOrder(20, True)
+    assert list(loc._truncated) == [18] and len(rings) == 1
+    assert len(steps) == 4
+
+
+@pytest.mark.parametrize("f, r", [("2*z", 9), ("z^2", 13),
+                                  ("2*z*(x + y)", 9), ("3*z^2", 9)])
+def test_over_declared_m_product_answers_the_oracle(capsys, tmp_path, f, r):
+    # k = 10 has m = 2; declared as 8, --truncate r runs over ZZ/2^2 or
+    # ZZ/2^3, too small a ring for the whole product but not for each
+    # factor (orders 2 and 1)
+    assert main(["vanishing-order", c2_model_file(tmp_path, 10, 8),
+                 "--component", "D0", "--function", f,
+                 "--truncate", str(r)]) == 0
+    oracle = c2_locus(10)
+    want = vanishing_order(zz_poly(f, oracle), oracle, budget=r)
+    assert json.loads(capsys.readouterr().out) == {"order": want.order,
+                                                   "exact": want.exact}
+
+
 def test_no_chain_over_zz_in_production(monkeypatch, capsys, tmp_path):
     chain_step = vanishing._chain_step
 
