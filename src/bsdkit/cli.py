@@ -22,12 +22,13 @@ from .compgroup import FibreError, component_group, fixed_point_count
 from .fieldtower import (FieldTower, FieldTowerError, extend_inert,
                          optimise_discriminant)
 from .groebner import GroebnerError, Ideal
-from .modelfile import (ModelMathError, SchemaError, component_locus,
-                        load_matrix_file, load_model, parse_fibre,
-                        parse_prime_model, parse_period_matrix)
+from .modelfile import (SchemaError, component_locus, load_matrix_file,
+                        load_model, parse_fibre, parse_prime_model,
+                        parse_period_matrix)
 from .periods import (DEFAULT_TOL, PeriodError, RepeatedPrimeError,
                       period_pipeline)
-from .poly import MonomialOrder, ParseError, parse_polynomial
+from .poly import (MonomialOrder, ParseError, PolynomialError,
+                   parse_polynomial)
 from .rings import CoefficientRing, RingError, ZZ, is_prime
 from .vanishing import (MAX_ORDER_BUDGET, VanishingError, _truncated_order,
                         vanishing_order_truncated)
@@ -178,20 +179,13 @@ def cmd_gb(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
         raise CliSchemaError("--vars must name at least one variable")
-    if args.order == "grevlex":
-        order = MonomialOrder.grevlex()
-    elif args.order == "lex":
-        order = MonomialOrder.lex()
-    else:
-        raise CliSchemaError(f"unknown order {args.order!r}")
+    order = MonomialOrder(args.order)       # argparse checks the choice
     gens = []
     for text in args.generators:
         try:
             gens.append(parse_polynomial(text, ring, variables, order))
         except ParseError as exc:
             raise CliSchemaError(f"cannot parse generator {text!r}: {exc}")
-    if not gens:
-        raise CliSchemaError("at least one generator is required")
     basis = Ideal(gens, order=order).groebner_basis()
     return _emit({"basis": [str(g) for g in basis],
                   "size": len(basis)})
@@ -296,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 SCHEMA_ERRORS = (SchemaError, CliSchemaError, ParseError, RepeatedPrimeError)
-MATH_ERRORS = (ModelMathError, FibreError, VanishingError, GroebnerError,
-               PeriodError, FieldTowerError, RingError)
+MATH_ERRORS = (FibreError, VanishingError, GroebnerError, PeriodError,
+               FieldTowerError, RingError, PolynomialError)
 
 
 def main(argv=None) -> int:

@@ -25,15 +25,11 @@ from .periods import (BigPeriodMatrix, ComponentChart, DifferentialRep,
                       PrimeModel, SamplePoint)
 from .poly import ParseError, Polynomial, parse_polynomial
 from .rings import ZZ, CoefficientRing
-from .vanishing import ComponentLocus, VanishingError
+from .vanishing import ComponentLocus
 
 
 class SchemaError(ValueError):
     """Malformed input file: wrong shape, unknown reference, parse error."""
-
-
-class ModelMathError(ValueError):
-    """Well-formed input that fails a mathematical validation."""
 
 
 # A shape is what the check below accepts:
@@ -242,11 +238,7 @@ def component_locus(doc: dict, component_id: str,
                            f"component {component_id!r}") for g in gens])
     if not patch.equations:
         raise SchemaError(f"patch {patch_id!r} has no equations")
-    J = Ideal(list(patch.equations))
-    try:
-        return ComponentLocus(J, I, doc["p"])
-    except VanishingError as exc:
-        raise ModelMathError(str(exc))
+    return ComponentLocus(Ideal(list(patch.equations)), I, doc["p"])
 
 
 def _point_field(p: int, spec: dict) -> CoefficientRing:
@@ -293,11 +285,8 @@ def parse_prime_model(doc: dict) -> Tuple[PrimeModel,
                 coords[v] = K.coerce(tuple(raw)
                                      if isinstance(raw, list) else raw)
             points.append(SamplePoint(coords, K))
-        try:
-            charts.append(ComponentChart(cid, locus, num, den, points,
-                                         multiplicity=mult[cid]))
-        except ValueError as exc:
-            raise ModelMathError(str(exc))
+        charts.append(ComponentChart(cid, locus, num, den, points,
+                                     multiplicity=mult[cid]))
     # every order is taken on the charts' patch against their dx, so a
     # differential must be written there, on dx
     charted = {patch_of[c["component"]] for c in chart_blocks}
@@ -325,8 +314,6 @@ def parse_prime_model(doc: dict) -> Tuple[PrimeModel,
 
 
 def parse_period_matrix(doc: dict) -> BigPeriodMatrix:
-    if "period_matrix" not in doc or "genus" not in doc:
-        raise SchemaError("matrix file needs genus and period_matrix")
     g = doc["genus"]
     rows = doc["period_matrix"]
     try:

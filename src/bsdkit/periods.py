@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .groebner import ideal_membership
 from .intmat import kernel_mod_p, rank_det
 from .poly import Polynomial, poly_gcd, exact_divide
 from .rings import CoefficientRing
@@ -266,16 +267,21 @@ class ComponentChart:
 
 
 def differential_order_on_component(w: DifferentialRep,
-                                    chart: ComponentChart) -> int:
-    """ord_D(f_j * d_den) - ord_D(h_j * d_num); negative means a pole."""
+                                    chart: ComponentChart,
+                                    name: str = "the differential") -> int:
+    """ord_D(f_j * d_den) - ord_D(h_j * d_num); negative means a pole.
+
+    A side in the patch ideal J, 0 included, has no order: PeriodError
+    that names w (as name) and that side."""
     num = w.numerator * chart.generator_denominator
     den = w.denominator * chart.generator_numerator
     try:
         return rational_function_order(num, den, chart.locus)
     except FunctionVanishesOnCurve:
-        raise PeriodError(
-            "differential numerator lies in the patch ideal "
-            "(identically zero on the patch)")
+        side, f = (("numerator", num) if ideal_membership(num, chart.locus.J)
+                   else ("denominator", den))
+        raise PeriodError(f"{name} has its {side} {f} in the patch ideal "
+                          "(identically zero on the patch)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +295,8 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
     only): the kernel mod p of the values at the sample points, from one
     Smith form (intmat.kernel_mod_p).
 
-    Uses only sample points where no denominator vanishes; raises when no
-    such point survives.
+    Uses only sample points where no denominator vanishes; with none, V is
+    all of GF(p)^g (the identity basis).
     """
     if not diffs:
         raise PeriodError("no differentials given")
@@ -314,8 +320,8 @@ def vanishing_subspace(charts: Sequence[ComponentChart],
                 cols.append(v + (0,) * (K.k - len(v)))
             rows.extend(map(list, zip(*cols)))
     if not rows:
-        raise PeriodError("all sample points are killed by denominators; "
-                          "fall back to the full per-component check")
+        return [[int(i == j) for j in range(len(diffs))]
+                for i in range(len(diffs))]
     return kernel_mod_p(rows, p)
 
 
@@ -362,6 +368,10 @@ def neron_basis_adjust(model: PrimeModel,
     Sum c_j omega_j vanishes on the whole fibre (order >= component
     multiplicity everywhere, i.e. divisible by p), replace the
     smallest-index omega_j with c_j != 0 by (1/p) Sum c_j omega_j.
+
+    Both steps keep a QQ-basis of the input span, and c != 0 mod p, so a
+    candidate combination that is 0 or lies in the patch ideal proves the
+    differentials dependent: PeriodError naming c.
     """
     p = model.p
     g = model.genus
@@ -392,21 +402,12 @@ def neron_basis_adjust(model: PrimeModel,
         clear_poles(j)
     while True:
         # step 6: divide out a vanishing combination
-        try:
-            basis = vanishing_subspace(model.charts, work)
-        except PeriodError:
-            basis = [[int(i == j) for j in range(g)] for i in range(g)]
-        for c in _nonzero_span(basis, p, g):
+        for c in _nonzero_span(vanishing_subspace(model.charts, work), p, g):
             comb = _combination(work, c)
-            if comb.numerator.is_zero():
-                continue
-            try:
-                if all(differential_order_on_component(comb, chart)
-                       >= chart.get_multiplicity()
-                       for chart in model.charts):
-                    break
-            except PeriodError:
-                continue
+            name = f"the differentials are dependent: their combination {c}"
+            if all(differential_order_on_component(comb, chart, name)
+                   >= chart.get_multiplicity() for chart in model.charts):
+                break
         else:
             return AdjustResult(work, a, b, Fraction(p) ** (a - b))
         j = next(i for i in range(g) if c[i])

@@ -265,9 +265,9 @@ def _truncated_order(f: Polynomial, locus: ComponentLocus,
     An answer n over ZZ/p^e is exact when n <= e*m - 2, so each ring is
     asked with budget min(e*m - 1, budget).  Without a given m the first
     ask takes m = 1; if it is not exact, the true m is computed on that
-    ring as the order of p (exact for e >= 2) and kept as
-    ``locus._orders[p]``, where each exact factor order computed without a
-    given m is kept too.  An f that is 0 or in J over ZZ/p^e has order
+    ring as the order of p (exact for e >= 2), answers f = p, and is kept
+    as ``locus._orders[p]``, where each exact factor order computed without
+    a given m is kept too.  An f that is 0 or in J over ZZ/p^e has order
     >= e*m unless it lies in J over ZZ.
     """
     if f.is_zero():
@@ -310,6 +310,8 @@ def _truncated_order(f: Polynomial, locus: ComponentLocus,
             return VanishingOrder(budget, exact=False)
         if not (m or known):
             known = locus._orders[p_const] = multiplicity_of_component(T)
+            if f == p_const:            # its order is m itself
+                return VanishingOrder(min(known, budget), known < budget)
             if known > 1 or split:      # a larger cap, or f splits
                 continue
         e *= 2

@@ -253,6 +253,46 @@ class TestPeriod:
         assert err == (f"error: differential base '{base}': the charts' "
                        "local generators are on dx\n")
 
+    @pytest.mark.parametrize("differentials, message", [
+        # dependent over QQ: step 6's candidate c = (1, 1) is 0
+        ([("1", "1"), ("-1", "1")], "the differentials are dependent: their "
+         "combination [1, 1] has its numerator 0"),
+        # dependent on the curve: 1 + (y^2 - x^5 - x - 2) lies in J
+        ([("1", "1"), ("y^2 - x^5 - x - 2", "1")], "the differentials are "
+         "dependent: their combination [1, 1] has its numerator "
+         "-x^5 + y^2 - x - 1"),
+        # a differential with a side in J names that side
+        ([("y^2 - x^5 - x - 1", "1"), ("x", "1")],
+         "the differential has its numerator -x^5 + y^2 - x - 1"),
+        ([("1", "y^2 - x^5 - x - 1"), ("x", "1")],
+         "the differential has its denominator -x^5 + y^2 - x - 1"),
+    ], ids=["zero", "in-J", "numerator-in-J", "denominator-in-J"])
+    def test_dependent_or_vanishing_differential_exit3(
+            self, tmp_path, capsys, differentials, message):
+        with open(fixture_path("genus2_p2.json")) as fh:
+            doc = json.load(fh)
+        doc["differentials"] = [{"patch": "U", "numerator": n,
+                                 "denominator": d} for n, d in differentials]
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                             fixture_path("matrix_g2.json"))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {message} in the patch ideal (identically "
+                       "zero on the patch)\n")
+
+    def test_equal_differentials_exit3(self, tmp_path, capsys):
+        # (dx, dx): step 6 divides dx + dx = 2dx back to dx until the cap
+        with open(fixture_path("genus2_p2.json")) as fh:
+            doc = json.load(fh)
+        doc["differentials"][1] = doc["differentials"][0]
+        path = tmp_path / "equal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "period", str(path), "--matrix-file",
+                             fixture_path("matrix_g2.json"))
+        assert (code, out) == (3, "")
+        assert err == "error: adjustment loop exceeded its termination cap\n"
+
     def test_repeated_prime_exit2(self, capsys):
         scaled = fixture_path("genus2_p2_scaled.json")
         code, out, err = run(capsys, "period", scaled, scaled,
@@ -572,6 +612,12 @@ def test_gb_budget_below_one_exit2(capsys, monkeypatch, value):
     assert err.startswith("error: BSDKIT_GB_BUDGET ")
 
 
+def test_gb_budget_not_an_integer_exit2(capsys, monkeypatch):
+    monkeypatch.setenv("BSDKIT_GB_BUDGET", "12k")
+    assert _sect31_order_of_2(capsys) == (
+        2, "", "error: BSDKIT_GB_BUDGET must be an integer, got '12k'\n")
+
+
 # ---------------------------------------------------------------------------
 # one parser per process: no default, namespace or budget leaks between calls
 
@@ -734,6 +780,97 @@ def test_malformed_file_names_the_field(tmp_path, capsys, fixture, path,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {where}{message}\n"
+
+
+# ---------------------------------------------------------------------------
+# well-shaped files refused by a parser or a check: each through the
+# command that reads that fixture
+
+COMMANDS = {
+    "sect31.json": lambda path: ["vanishing-order", path, "--component",
+                                 "D0", "--function", "2"],
+    "cycle5.json": lambda path: ["tamagawa", path],
+    "genus2_p2.json": lambda path: ["period", path, "--matrix-file",
+                                    fixture_path("matrix_g2.json")],
+    "matrix_g2.json": lambda path: ["period", fixture_path("genus2_p2.json"),
+                                    "--matrix-file", path],
+}
+
+
+def _duplicate_ids(doc):
+    doc["special_fibre"]["components"][1]["id"] = "C0"
+    del doc["special_fibre"]["frobenius"]["C1"]
+
+
+REFUSED = [
+    ("sect31.json", lambda d: d["patches"].append(d["patches"][0]), 2,
+     "duplicate patch id 'U'"),
+    ("sect31.json", lambda d: d["patches"][0].update(variables=["x", "x"]),
+     2, "patch 'U' repeats a variable"),
+    ("cycle5.json", lambda d: d["special_fibre"]["intersections"].pop(), 2,
+     "intersection matrix must be 5x5"),
+    ("cycle5.json", lambda d: d["special_fibre"]["frobenius"].update(C9="C0"),
+     2, "frobenius references an unknown component id"),
+    ("cycle5.json", _duplicate_ids, 3, "duplicate component ids"),
+    ("sect31.json",
+     lambda d: d["special_fibre"]["components"][0].update(patch="V"), 2,
+     "component 'D0' references missing patch 'V'"),
+    ("sect31.json",
+     lambda d: d["special_fibre"]["components"][0].update(prime_ideal=[]), 2,
+     "component 'D0' has no prime_ideal"),
+    ("sect31.json", lambda d: d["patches"][0].update(equations=[]), 2,
+     "patch 'U' has no equations"),
+    ("genus2_p2.json", lambda d: d.pop("genus"), 2,
+     "period pipeline needs a genus field"),
+    ("genus2_p2.json",
+     lambda d: d["charts"].append(dict(d["charts"][0], component="D9")), 2,
+     "chart references unknown component 'D9'"),
+    ("genus2_p2.json",
+     lambda d: d["charts"][0]["sample_points"][0]["coords"].pop("y"), 2,
+     "sample point in chart 'D0' misses variable 'y'"),
+    ("genus2_p2.json", lambda d: d["differentials"][0].update(patch="V"), 2,
+     "differential references missing patch 'V'"),
+    ("genus2_p2.json", lambda d: d["differentials"].pop(), 2,
+     "expected 2 differentials, got 1"),
+    ("matrix_g2.json", lambda d: d["period_matrix"][0][0].__setitem__(0, "a"),
+     2, "bad period matrix entry: could not convert string to float: 'a'"),
+    ("matrix_g2.json", lambda d: d["period_matrix"].pop(), 2,
+     "period matrix must be 4x2"),
+]
+
+
+@pytest.mark.parametrize("fixture, edit, exit_code, message", REFUSED,
+                         ids=[m[3] for m in REFUSED])
+def test_refused_file_names_the_fault(tmp_path, capsys, fixture, edit,
+                                      exit_code, message):
+    with open(fixture_path(fixture)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *COMMANDS[fixture](str(path)))
+    assert (code, out, err) == (exit_code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gb", "--vars", "x", "--ring", "QQ", "x"],
+     "unknown ring spec 'QQ' (use ZZ, Z/p^e, or GF(p^k))"),
+    (["gb", "--vars", " , ", "x"], "--vars must name at least one variable"),
+    (["extend-field", "--ell", ",", "--p", "2"],
+     "--ell must list at least one prime"),
+])
+def test_refused_flag_names_the_fault(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "--vars", "x", "--order", "deglex", "x"],
+    ["gb", "--vars", "x"]], ids=["unknown-order", "no-generator"])
+def test_gb_arguments_refused_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

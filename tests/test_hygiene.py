@@ -1,8 +1,8 @@
 """Source hygiene: every name a bsdkit module imports is used in it, every
 module it imports is in the standard library or bsdkit itself, every
 private module-level function or class is used somewhere, only the CLI
-reads the environment, and every function the perfbench tracer wraps
-exists."""
+reads the environment, every public exception has an exit code, and
+every function the perfbench tracer wraps exists."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -157,6 +158,32 @@ def test_detects_unreferenced_private_helper():
                  "setattr(a, '_Patched', None)\n"),
     }
     assert unreferenced_private(sources) == [("a.py", 5, "_dead")]
+
+
+def uncaught_errors(modules, caught):
+    """(module, name) for each public exception class a module defines
+    that no class in the tuple caught covers, by subclass."""
+    return [(mod.__name__, name) for mod in modules
+            for name, obj in vars(mod).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__ and not name.startswith("_")
+            and not issubclass(obj, caught)]
+
+
+def test_every_public_error_has_an_exit_code():
+    # main() turns the caught ones into exit 2 or 3; any other ends it
+    # with a traceback and exit 1
+    from bsdkit import cli
+    modules = [importlib.import_module(f"bsdkit.{p.stem}") for p in MODULES]
+    assert uncaught_errors(modules, cli.SCHEMA_ERRORS + cli.MATH_ERRORS) == []
+
+
+def test_detects_uncaught_error():
+    mod = types.ModuleType("fake")
+    exec("class A(ValueError): pass\nclass B(A): pass\n"
+         "class C(KeyError): pass\nclass _D(KeyError): pass\n"
+         "E = KeyError\n", vars(mod))
+    assert uncaught_errors([mod], (mod.A,)) == [("fake", "C")]
 
 
 def unresolved_targets(targets):

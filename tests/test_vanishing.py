@@ -170,6 +170,23 @@ def test_multiplicity_is_one_order_query(name):
         loc.change_ring(CoefficientRing.Zmod(2, 2))) == m
 
 
+def test_multiplicity_asks_p_twice(monkeypatch):
+    # the first ask over ZZ/2^3 (cap e - 1 = 2) is not exact; the
+    # multiplicity then computed on that ring (budget 64) is the order of
+    # p itself, so no third ask (cap e*m - 1 = 11) repeats it
+    budgets = []
+    order = vanishing.vanishing_order
+
+    def recorded(f, locus, mode="modified",
+                 budget=vanishing.DEFAULT_ORDER_BUDGET):
+        budgets.append(budget)
+        return order(f, locus, mode, budget)
+
+    monkeypatch.setattr(vanishing, "vanishing_order", recorded)
+    assert multiplicity_of_component(c2_locus(28)) == 4
+    assert budgets == [2, 64]
+
+
 class TestRationalOrder:
     def test_paper(self):
         assert rational_function_order(const(2), const(1),
